@@ -125,6 +125,14 @@ def _theta_from_args(datum: BasedRootDatum, args) -> tuple[int, ...]:
     return ()
 
 
+def _int_list(text: str, what: str) -> list[int]:
+    """Comma-separated integers, e.g. '2,1,2'; GroupSpecError (a usage error) otherwise."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise GroupSpecError(f"bad {what} {text!r}; expected comma-separated integers") from None
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
@@ -172,7 +180,10 @@ def _cmd_levi(args) -> int:
 def _cmd_satake(args) -> int:
     datum = parse_group_expr(args.group)
     if args.pattern is not None:
-        n, d = (int(x) for x in args.pattern.split(","))
+        pattern = _int_list(args.pattern, "pattern")
+        if len(pattern) != 2:
+            raise GroupSpecError(f"bad pattern {args.pattern!r}; expected n,d (e.g. 6,3)")
+        n, d = pattern
         diagram = type_a_satake(n, d)
         payload = {
             "command": "satake",
@@ -185,7 +196,7 @@ def _cmd_satake(args) -> int:
     theta = _theta_from_args(datum, args)
     desc = LeviDescriptor(datum, theta)
     report = analyze_levi(desc)
-    degrees = [int(x) for x in args.degrees.split(",")] if args.degrees else [1] * len(
+    degrees = _int_list(args.degrees, "degree list") if args.degrees else [1] * len(
         report.gl_envelope or ()
     )
     shape = transfer_levi(report, degrees)
@@ -345,11 +356,15 @@ def _parse_invariants(text: str) -> HasseVector:
         else:
             prime = 2
             if "@" in label:
-                label_base, _, ptext = label.partition("@")
+                _, _, ptext = label.partition("@")
+                if not ptext.isdigit():
+                    raise GroupSpecError(f"bad prime {ptext!r} in place {label!r}")
                 prime = int(ptext)
-                label = label_base + "@" + ptext
             place = PlaceLabel(id=label, kind="finite", prime=prime)
-        entries.append((place, Fraction(int(match.group("num")), int(match.group("den")))))
+        den = int(match.group("den"))
+        if den == 0:
+            raise GroupSpecError(f"invariant {piece!r} has denominator 0")
+        entries.append((place, Fraction(int(match.group("num")), den)))
     return HasseVector.from_items(entries)
 
 

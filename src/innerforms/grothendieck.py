@@ -350,6 +350,7 @@ _TERM_RE = re.compile(
     """,
     re.VERBOSE,
 )
+_LIST_SEP = re.compile(r"\s*,\s*")
 
 
 def parse_virtual(text: str, n: int | None = None) -> VirtualElement:
@@ -362,7 +363,7 @@ def parse_virtual(text: str, n: int | None = None) -> VirtualElement:
     if text == "0":
         return zero()
     pos = 0
-    total = zero()
+    total: dict[BasisElement, int] = {}
     first = True
     seen_n = n
     while pos < len(text):
@@ -375,8 +376,8 @@ def parse_virtual(text: str, n: int | None = None) -> VirtualElement:
         if sign is None:
             raise GroupSpecError(f"missing +/- between terms at offset {pos}")
         coeff = int(match.group("coeff") or 1) * (1 if sign == "+" else -1)
-        comp = tuple(int(x) for x in re.split(r"\s*,\s*", match.group("comp")))
-        tags = tuple(re.split(r"\s*,\s*", match.group("tags")))
+        comp = tuple(int(x) for x in _LIST_SEP.split(match.group("comp")))
+        tags = tuple(_LIST_SEP.split(match.group("tags")))
         if len(tags) != len(comp):
             raise GroupSpecError(
                 f"term {match.group(0).strip()!r}: {len(comp)} blocks but {len(tags)} tags"
@@ -389,9 +390,9 @@ def parse_virtual(text: str, n: int | None = None) -> VirtualElement:
                 f"composition {comp} sums to {total_n}, expected {seen_n}"
             )
         element = BasisElement(split_side(total_n), comp, tags)
-        total = total + VirtualElement.of(element, coeff)
+        total[element] = total.get(element, 0) + coeff
         first = False
         pos = match.end()
     if first:
         raise GroupSpecError("empty element expression")
-    return total
+    return VirtualElement(total)

@@ -17,10 +17,8 @@ from .rootdata import (
     DynkinType,
     FiniteAbelianGroup,
     classify,
-    classify_component,
     cokernel_invariants,
     dynkin_components,
-    pairing_surjective,
 )
 
 
@@ -95,22 +93,23 @@ def analyze_levi(desc: LeviDescriptor) -> LeviReport:
     )
     derived_pi1 = FiniteAbelianGroup(tuple(pi1_factors))
 
-    root_rows = [amb.simple_roots[t] for t in theta]
-    _, free_rank = cokernel_invariants(root_rows, amb.rank)
+    root_torsion, free_rank = cokernel_invariants(
+        [amb.simple_roots[t] for t in theta], amb.rank
+    )
     split_component_rank = free_rank  # = rank of the integer annihilator of theta
 
-    all_a = all(classify_component(amb, list(c))[0] == "A" for c in comps)
+    # the Levi's components are theta's components, so its labels decide type A
+    all_a = all(series == "A" for series, _ in derived_type.components)
     condition_one = all_a and derived_pi1.is_trivial
 
     gl_envelope = tuple(len(c) + 1 for c in comps) if condition_one else None
 
+    # x -> (row . x) maps Z^rank onto Z^{#rows} iff Z^rank / <rows> is free
+    # of rank (rank - #rows).  Simple roots and coroots are linearly
+    # independent, so this is freedom from torsion, read off the two SNFs
+    # above; condition_one already holds it for the coroots.
     extra = amb.rank - len(theta) - len(comps)
-    exact = (
-        condition_one
-        and extra >= 0
-        and pairing_surjective(root_rows)
-        and pairing_surjective([amb.simple_coroots[t] for t in theta])
-    )
+    exact = condition_one and extra >= 0 and not root_torsion
     return LeviReport(
         derived_type=derived_type,
         split_component_rank=split_component_rank,

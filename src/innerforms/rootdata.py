@@ -10,6 +10,9 @@ constructors build the split groups used elsewhere in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .errors import DatumError, GroupSpecError
 
@@ -199,25 +202,6 @@ def integer_kernel_basis(rows: list[Vector], n: int) -> list[Vector]:
     return [tuple(vt[j]) for j in range(nonzero, n)]
 
 
-def lattice_saturated(rows: list[Vector]) -> bool:
-    """Whether the row span is a saturated sublattice (all invariant factors 1)."""
-    if not rows:
-        return True
-    _, d, _ = smith_normal_form([list(r) for r in rows])
-    return all(x in (0, 1) for x in diagonal_of(d))
-
-
-def pairing_surjective(rows: list[Vector]) -> bool:
-    """Whether x -> (row_i . x) maps Z^n onto Z^{#rows}."""
-    if not rows:
-        return True
-    _, d, _ = smith_normal_form([list(r) for r in rows])
-    diag = diagonal_of(d)
-    return len([x for x in diag if x != 0]) == len(rows) and all(
-        x in (0, 1) for x in diag
-    )
-
-
 def random_unimodular(rank: int, rng, steps: int = 12) -> IntMatrix:
     """Random unimodular matrix built from shears and signed swaps."""
     m = identity_matrix(rank)
@@ -356,7 +340,10 @@ class BasedRootDatum:
     """Character lattice Z^rank with chosen simple roots and simple coroots.
 
     The pairing <alpha_j, alpha_i^vee> is the plain dot product; validation
-    checks that it forms a classifiable Cartan matrix.
+    checks that it forms a classifiable Cartan matrix.  The Cartan matrix and
+    the Dynkin adjacency and type are computed once per instance (``cartan``,
+    ``neighbours``, ``dynkin_type``); ``cartan_matrix()`` and ``adjacency()``
+    hand out copies.
     """
 
     rank: int
@@ -374,9 +361,9 @@ class BasedRootDatum:
         for v in self.simple_roots + self.simple_coroots:
             if len(v) != self.rank:
                 raise DatumError("vector length does not match rank")
-        validate_cartan_matrix(self.cartan_matrix())
+        validate_cartan_matrix(self.cartan)
         # classifiability check; raises DatumError on garbage
-        classify(self)
+        self.dynkin_type
 
     @property
     def semisimple_rank(self) -> int:
@@ -387,17 +374,64 @@ class BasedRootDatum:
         c = self.simple_coroots[coroot_index]
         return sum(a * b for a, b in zip(r, c))
 
-    def cartan_matrix(self) -> IntMatrix:
-        """C[i][j] = <alpha_j, alpha_i^vee>."""
+    @cached_property
+    def cartan(self) -> tuple[tuple[int, ...], ...]:
+        """C[i][j] = <alpha_j, alpha_i^vee>, built from the nonzero coordinates only."""
         k = self.semisimple_rank
-        return [[self.pairing(j, i) for j in range(k)] for i in range(k)]
+        roots_at: list[list[tuple[int, int]]] = [[] for _ in range(self.rank)]
+        for j, root in enumerate(self.simple_roots):
+            for t, x in enumerate(root):
+                if x:
+                    roots_at[t].append((j, x))
+        rows = []
+        for coroot in self.simple_coroots:
+            row = [0] * k
+            for t, y in enumerate(coroot):
+                if y:
+                    for j, x in roots_at[t]:
+                        row[j] += x * y
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @cached_property
+    def neighbours(self) -> tuple[tuple[int, ...], ...]:
+        """Dynkin adjacency: for each node, the other nodes it is bonded to, ascending."""
+        return tuple(
+            tuple(j for j, x in enumerate(row) if x and j != i)
+            for i, row in enumerate(self.cartan)
+        )
+
+    @cached_property
+    def symmetrizer(self) -> tuple[int, ...]:
+        """Per-component positive integers d_i with d_i C[i][j] = d_j C[j][i]."""
+        cartan = self.cartan
+        d: list[Fraction | None] = [None] * self.semisimple_rank
+        for start in range(len(d)):
+            if d[start] is not None:
+                continue
+            d[start] = Fraction(1)
+            stack = [start]
+            while stack:
+                i = stack.pop()
+                for j in self.neighbours[i]:
+                    if d[j] is None:
+                        d[j] = d[i] * cartan[i][j] / cartan[j][i]
+                        stack.append(j)
+        scale = lcm(*(x.denominator for x in d)) if d else 1
+        return tuple(int(x * scale) for x in d)
+
+    @cached_property
+    def dynkin_type(self) -> DynkinType:
+        """Component multiset plus central torus rank; see :func:`classify`."""
+        labels = tuple(classify_component(self, comp) for comp in dynkin_components(self))
+        return DynkinType(components=labels, torus_rank=self.rank - self.semisimple_rank)
+
+    def cartan_matrix(self) -> IntMatrix:
+        """C[i][j] = <alpha_j, alpha_i^vee>, as a fresh list of lists."""
+        return [list(row) for row in self.cartan]
 
     def adjacency(self) -> list[list[int]]:
-        c = self.cartan_matrix()
-        k = len(c)
-        return [
-            [j for j in range(k) if j != i and c[i][j] != 0] for i in range(k)
-        ]
+        return [list(nbrs) for nbrs in self.neighbours]
 
     def to_json(self) -> dict:
         return {
@@ -440,11 +474,11 @@ def dynkin_components(datum: BasedRootDatum, indices=None) -> list[list[int]]:
     """
     if indices is None:
         indices = range(datum.semisimple_rank)
-    nodes = sorted(set(indices))
-    adj = datum.adjacency()
+    nodes = set(indices)
+    adj = datum.neighbours
     seen: set[int] = set()
     comps: list[list[int]] = []
-    for start in nodes:
+    for start in sorted(nodes):
         if start in seen:
             continue
         comp = []
@@ -464,9 +498,9 @@ def dynkin_components(datum: BasedRootDatum, indices=None) -> list[list[int]]:
 def classify_component(datum: BasedRootDatum, comp: list[int]) -> tuple[str, int]:
     """Series/rank of one connected component (canonical labels)."""
     k = len(comp)
-    c = datum.cartan_matrix()
-    local = {v: i for i, v in enumerate(comp)}
-    adj = {v: [w for w in comp if w != v and c[v][w] != 0] for v in comp}
+    c = datum.cartan
+    inside = set(comp)
+    adj = {v: [w for w in datum.neighbours[v] if w in inside] for v in comp}
     degrees = {v: len(adj[v]) for v in comp}
     edges = [(v, w) for v in comp for w in adj[v] if v < w]
     if len(edges) != k - 1:
@@ -531,9 +565,7 @@ def classify(datum: BasedRootDatum) -> DynkinType:
     >>> classify(build_catalog_group("GL", [3]))
     DynkinType(components=(('A', 2),), torus_rank=1)
     """
-    comps = dynkin_components(datum)
-    labels = tuple(classify_component(datum, comp) for comp in comps)
-    return DynkinType(components=labels, torus_rank=datum.rank - datum.semisimple_rank)
+    return datum.dynkin_type
 
 
 def fundamental_group(datum: BasedRootDatum) -> FiniteAbelianGroup:

@@ -176,7 +176,7 @@ def shares_derived_type_with_envelope(report: LeviReport) -> bool:
 
 def _chain_order(datum: BasedRootDatum, comp: list[int]) -> list[int]:
     """Path order of an A-component, starting from its least endpoint."""
-    adj = datum.adjacency()
+    adj = datum.neighbours
     inside = set(comp)
     ends = [v for v in comp if len([w for w in adj[v] if w in inside]) <= 1]
     start = min(ends)
@@ -246,7 +246,7 @@ def _use_unicode(unicode: bool | None) -> bool:
 
 def _component_layout(datum: BasedRootDatum, comp: list[int]) -> tuple[list[int], int | None, int]:
     """(chain order, hanging node, attach position in the chain)."""
-    adj = datum.adjacency()
+    adj = datum.neighbours
     inside = set(comp)
     local_adj = {v: [w for w in adj[v] if w in inside] for v in comp}
     branch = [v for v in comp if len(local_adj[v]) == 3]
@@ -301,7 +301,7 @@ def render_ascii(diagram: SatakeDiagram, unicode: bool | None = None) -> str:
     uni = _use_unicode(unicode)
     g = _GLYPHS[uni]
     datum = diagram.base
-    cartan = datum.cartan_matrix()
+    cartan = datum.cartan
     blocks = []
     for comp in dynkin_components(datum):
         chain, hanging, attach = _component_layout(datum, comp)

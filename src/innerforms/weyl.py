@@ -2,22 +2,22 @@
 
 Roots are manipulated in simple-root coordinates (integer vectors indexed by
 Delta), so positivity is coordinatewise nonnegativity and every reflection
-is Cartan-matrix arithmetic.  Enumeration of whole Weyl groups is
-deliberately capped at semisimple rank 6.
+is Cartan-matrix arithmetic.  Weyl group orders come from the parabolic
+orbit recursion; ``weyl_group_order`` keeps its documented bound of
+semisimple rank 6.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DatumError, EnumerationLimitError
 from .rootdata import (
     BasedRootDatum,
     DynkinType,
     Vector,
-    classify_component,
+    classify,
     dynkin_components,
     integer_kernel_basis,
 )
@@ -65,38 +65,33 @@ class RestrictedRoot:
 # root generation in simple-root coordinates
 
 
-def _reflect_coords(cartan, coords: Vector, j: int) -> Vector:
-    # s_j(v) = v - <v, alpha_j^vee> alpha_j with <alpha_i, alpha_j^vee> = C[j][i]
-    pairing = sum(coords[i] * cartan[j][i] for i in range(len(coords)))
-    out = list(coords)
-    out[j] -= pairing
-    return tuple(out)
+def positive_roots_coords(datum: BasedRootDatum) -> list[Vector]:
+    """Positive roots, as coordinates on Delta.
 
-
-def all_roots_coords(datum: BasedRootDatum, subset=None) -> list[Vector]:
-    """All roots of the subsystem generated by ``subset`` of Delta, as coordinates."""
+    Every positive root is reached from a simple root by reflections that
+    raise the height, s_j(beta) = beta - <beta, alpha_j^vee> alpha_j with a
+    negative pairing, and such a reflection never leaves the positive roots.
+    """
     k = datum.semisimple_rank
-    if subset is None:
-        subset = range(k)
-    subset = sorted(set(subset))
-    cartan = datum.cartan_matrix()
-    roots = set()
-    frontier = [tuple(1 if i == s else 0 for i in range(k)) for s in subset]
-    roots.update(frontier)
+    cartan = datum.cartan
+    # <alpha_i, alpha_j^vee> = C[j][i], nonzero entries only
+    rows = [(j, [(i, c) for i, c in enumerate(cartan[j]) if c]) for j in range(k)]
+    frontier = [tuple(1 if i == s else 0 for i in range(k)) for s in range(k)]
+    roots = set(frontier)
     while frontier:
         new = []
         for r in frontier:
-            for j in subset:
-                image = _reflect_coords(cartan, r, j)
-                if image not in roots:
-                    roots.add(image)
-                    new.append(image)
+            for j, row in rows:
+                pairing = sum(r[i] * c for i, c in row)
+                if pairing < 0:
+                    image = list(r)
+                    image[j] -= pairing
+                    image = tuple(image)
+                    if image not in roots:
+                        roots.add(image)
+                        new.append(image)
         frontier = new
     return sorted(roots)
-
-
-def positive_roots_coords(datum: BasedRootDatum, subset=None) -> list[Vector]:
-    return [r for r in all_roots_coords(datum, subset) if all(c >= 0 for c in r)]
 
 
 def coords_to_vector(datum: BasedRootDatum, coords: Vector) -> Vector:
@@ -108,41 +103,69 @@ def coords_to_vector(datum: BasedRootDatum, coords: Vector) -> Vector:
 
 
 # ---------------------------------------------------------------------------
-# group order by closure enumeration
+# group order by the parabolic orbit recursion
 
 
 def weyl_group_order(datum: BasedRootDatum) -> int:
-    """Order of the Weyl group, by breadth-first closure over root images.
+    """Order of the Weyl group, as a product of fundamental-weight orbit sizes.
 
-    A Weyl element is pinned down by the images of the simple roots, so the
-    closure runs over tuples of root indices.  Raises EnumerationLimitError
-    above semisimple rank 6: this is an oracle for small rank, not a group
-    library.
+    See :func:`orbit_product_order`.  Raises EnumerationLimitError above
+    semisimple rank 6: the bound is kept as the documented limit of this
+    layer, although the recursion itself stays cheap beyond it.
     """
     k = datum.semisimple_rank
     if k > ENUMERATION_RANK_BOUND:
         raise EnumerationLimitError(
             f"semisimple rank {k} exceeds the enumeration bound {ENUMERATION_RANK_BOUND}"
         )
-    if k == 0:
-        return 1
-    cartan = datum.cartan_matrix()
-    roots = all_roots_coords(datum)
-    index = {r: i for i, r in enumerate(roots)}
-    action = [
-        [index[_reflect_coords(cartan, r, j)] for r in roots] for j in range(k)
-    ]
-    simple = tuple(index[tuple(1 if i == s else 0 for i in range(k))] for s in range(k))
-    seen = {simple}
-    frontier = [simple]
+    return orbit_product_order(datum)
+
+
+def orbit_product_order(datum: BasedRootDatum) -> int:
+    """Order of the Weyl group, with no rank bound.
+
+    Uses |W_S| = |W_S . omega_s| * |W_{S - s}|: the stabilizer of a fundamental
+    weight omega_s in W_S is the parabolic subgroup W_{S - s} (Bourbaki, Lie
+    groups VI 1.10; Humphreys, Reflection Groups 1.12).  Each connected
+    component sheds its least end node at a time, so what is left stays
+    connected; in Bourbaki numbering that keeps B_{n-1}, C_{n-1} and D_{n-1}.
+    """
+    cartan = datum.cartan
+    order = 1
+    for comp in dynkin_components(datum):
+        nodes = set(comp)
+        while nodes:
+            s = min(v for v in nodes if sum(w in nodes for w in datum.neighbours[v]) <= 1)
+            order *= _fundamental_orbit_size(cartan, sorted(nodes), s)
+            nodes.remove(s)
+    return order
+
+
+def _fundamental_orbit_size(cartan, nodes: list[int], s: int) -> int:
+    """|W_S . omega_s| by a breadth-first search in weight coordinates.
+
+    s_j(lambda) = lambda - lambda_j alpha_j, and alpha_j has weight coordinates
+    C[i][j].  From a dominant weight every orbit element is reached by
+    reflecting only where lambda_j > 0, so each step strictly descends.
+    """
+    local = {v: i for i, v in enumerate(nodes)}
+    columns = [[(local[i], cartan[i][j]) for i in nodes if cartan[i][j]] for j in nodes]
+    start = tuple(1 if v == s else 0 for v in nodes)
+    seen = {start}
+    frontier = [start]
     while frontier:
         new = []
-        for state in frontier:
-            for j in range(k):
-                nxt = tuple(action[j][x] for x in state)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    new.append(nxt)
+        for weight in frontier:
+            for j, column in enumerate(columns):
+                x = weight[j]
+                if x > 0:
+                    image = list(weight)
+                    for i, c in column:
+                        image[i] -= x * c
+                    image = tuple(image)
+                    if image not in seen:
+                        seen.add(image)
+                        new.append(image)
         frontier = new
     return len(seen)
 
@@ -188,7 +211,7 @@ def longest_word(datum: BasedRootDatum, subset) -> WeylWord:
     length equals the number of positive roots of the subsystem.
     """
     subset = sorted(set(subset))
-    cartan = datum.cartan_matrix()
+    cartan = datum.cartan
     w = _CoordAction(cartan)
     word: list[int] = []
     while True:
@@ -206,7 +229,7 @@ def longest_word(datum: BasedRootDatum, subset) -> WeylWord:
 
 def word_action(datum: BasedRootDatum, word: WeylWord) -> _CoordAction:
     """Action of the word (applied as s_{i1} o s_{i2} o ... o s_{ik}) on root coordinates."""
-    action = _CoordAction(datum.cartan_matrix())
+    action = _CoordAction(datum.cartan)
     for letter in word.letters:
         action.right_multiply(letter)
     return action
@@ -271,6 +294,33 @@ def _primitive(v: Vector) -> Vector:
     return tuple(x // g for x in v) if g else v
 
 
+def _restricted_classes(datum: BasedRootDatum, theta):
+    """Positive roots (simple-root coordinates) sorted by their restriction to A_M.
+
+    Returns the roots of theta (restriction zero) and, per reduced root in
+    direction order, the pair (RestrictedRoot, coordinates of its preimages).
+    """
+    theta_set = set(theta)
+    basis = split_component_basis(datum, theta)
+    inside: list[Vector] = []
+    classes: dict[Vector, list[tuple[Vector, Vector]]] = {}
+    for coords in positive_roots_coords(datum):
+        if all(c == 0 or i in theta_set for i, c in enumerate(coords)):
+            inside.append(coords)
+            continue
+        vec = coords_to_vector(datum, coords)
+        restriction = tuple(sum(a * b for a, b in zip(vec, col)) for col in basis)
+        classes.setdefault(_primitive(restriction), []).append((coords, vec))
+    pairs = [
+        (
+            RestrictedRoot(direction=key, preimages=tuple(sorted(v for _, v in classes[key]))),
+            [c for c, _ in classes[key]],
+        )
+        for key in sorted(classes)
+    ]
+    return inside, pairs
+
+
 def reduced_roots(datum: BasedRootDatum, theta) -> list[RestrictedRoot]:
     """The reduced roots of P_theta with respect to A_M.
 
@@ -278,21 +328,8 @@ def reduced_roots(datum: BasedRootDatum, theta) -> list[RestrictedRoot]:
     and grouped by positive-rational proportionality (alpha and 2 alpha
     collapse into one class).  The classes partition the restricted roots.
     """
-    theta_set = set(theta)
-    basis = split_component_basis(datum, theta)
-    classes: dict[Vector, list[Vector]] = {}
-    for coords in positive_roots_coords(datum):
-        support = {i for i, c in enumerate(coords) if c != 0}
-        if support <= theta_set:
-            continue
-        vec = coords_to_vector(datum, coords)
-        restriction = tuple(sum(a * b for a, b in zip(vec, col)) for col in basis)
-        key = _primitive(restriction)
-        classes.setdefault(key, []).append(vec)
-    return [
-        RestrictedRoot(direction=key, preimages=tuple(sorted(classes[key])))
-        for key in sorted(classes)
-    ]
+    _, pairs = _restricted_classes(datum, theta)
+    return [rr for rr, _ in pairs]
 
 
 def rank_one_decomposition(
@@ -301,34 +338,22 @@ def rank_one_decomposition(
     """For each reduced root, the type of the rank-one group M_alpha = Z_G(A_alpha).
 
     A_alpha is the identity component of (ker alpha) inside A_M; its
-    centralizer is read off as the subsystem of roots vanishing on A_alpha,
-    classified together with the ambient torus rank.
+    centralizer is the subsystem of roots vanishing on A_alpha, classified
+    together with the ambient torus rank.  A root vanishes on A_alpha exactly
+    when its restriction to A_M is a rational multiple of alpha, so the
+    positive members are theta's roots plus the preimages of alpha; its
+    simple roots are the members that are not a sum of two members.  A sum
+    lands among the preimages only if one summand is a preimage, and the
+    roots of theta that are not sums are the simple roots of theta.
     """
-    basis = split_component_basis(datum, theta)
+    inside, pairs = _restricted_classes(datum, theta)
+    theta_simples = [c for c in inside if sum(c) == 1]
     out = []
-    for rr in reduced_roots(datum, theta):
-        s = len(basis)
-        # cocharacters of A_alpha: z in Z^s with direction . z = 0, through the basis
-        zker = integer_kernel_basis([rr.direction], s)
-        a_alpha = [
-            tuple(sum(z[i] * basis[i][t] for i in range(s)) for t in range(datum.rank))
-            for z in zker
-        ]
-        member_coords = []
-        for coords in positive_roots_coords(datum):
-            vec = coords_to_vector(datum, coords)
-            if all(sum(a * b for a, b in zip(vec, y)) == 0 for y in a_alpha):
-                member_coords.append(coords)
-        members = set(member_coords)
-        simples = [
-            c
-            for c in member_coords
-            if not any(
-                tuple(x - y for x, y in zip(c, other)) in members
-                for other in member_coords
-                if other != c
-            )
-        ]
+    for rr, preimages in pairs:
+        sums = {
+            tuple(x + y for x, y in zip(a, b)) for a in inside + preimages for b in preimages
+        }
+        simples = theta_simples + [c for c in preimages if c not in sums]
         out.append((rr, subsystem_type(datum, simples)))
     return out
 
@@ -337,55 +362,26 @@ def subsystem_type(datum: BasedRootDatum, simple_coords: list[Vector]) -> Dynkin
     """Classify a subsystem given the simple-root coordinates of its simples."""
     roots = tuple(coords_to_vector(datum, c) for c in simple_coords)
     coroots = tuple(_coroot_of(datum, c) for c in simple_coords)
-    sub = BasedRootDatum(datum.rank, roots, coroots, name=f"{datum.name}|sub")
-    comps = dynkin_components(sub)
-    labels = tuple(classify_component(sub, comp) for comp in comps)
-    return DynkinType(components=labels, torus_rank=datum.rank - len(roots))
+    return classify(BasedRootDatum(datum.rank, roots, coroots, name=f"{datum.name}|sub"))
 
 
 def _coroot_of(datum: BasedRootDatum, coords: Vector) -> Vector:
     """Coroot of the root with the given simple-root coordinates.
 
     With a W-invariant form normalized per component, r^vee expands as
-    sum_i (d_i c_i / ((r,r)/2)) alpha_i^vee; the coefficients are integers
-    for any root of a finite system.
+    sum_i (2 d_i c_i / (r,r)) alpha_i^vee; the coefficients are integers
+    for any root of a finite system; d is the datum's cached symmetrizer.
     """
-    cartan = datum.cartan_matrix()
-    k = len(cartan)
-    d = _symmetrizer(cartan)
-    norm2 = Fraction(0)
-    for i in range(k):
-        if coords[i]:
-            for j in range(k):
-                if coords[j]:
-                    norm2 += coords[i] * coords[j] * d[i] * cartan[i][j]
-    half = norm2 / 2
+    cartan = datum.cartan
+    d = datum.symmetrizer
+    support = [i for i, c in enumerate(coords) if c]
+    norm2 = sum(coords[i] * coords[j] * d[i] * cartan[i][j] for i in support for j in support)
     out = [0] * datum.rank
-    for i in range(k):
-        if not coords[i]:
-            continue
-        c = Fraction(d[i] * coords[i]) / half
-        if c.denominator != 1:
+    for i in support:
+        c, remainder = divmod(2 * d[i] * coords[i], norm2)
+        if remainder:
             raise DatumError("coroot coefficients not integral; corrupted subsystem")
-        for t in range(datum.rank):
-            out[t] += int(c) * datum.simple_coroots[i][t]
+        for t, y in enumerate(datum.simple_coroots[i]):
+            if y:
+                out[t] += c * y
     return tuple(out)
-
-
-def _symmetrizer(cartan) -> list[Fraction]:
-    """Per-component rational d_i with d_i C[i][j] = d_j C[j][i]."""
-    k = len(cartan)
-    d: list[Fraction | None] = [None] * k
-    for start in range(k):
-        if d[start] is not None:
-            continue
-        d[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(k):
-                if i != j and cartan[i][j] != 0 and d[j] is None:
-                    d[j] = d[i] * cartan[i][j] / cartan[j][i]
-                    stack.append(j)
-    scale = lcm(*(x.denominator for x in d)) if d else 1
-    return [x * scale for x in d]

@@ -77,3 +77,62 @@ def count_square_roots(a: int, p: int) -> int:
     """Number of solutions of x^2 = a over Z/p, by direct enumeration."""
     a %= p
     return sum(1 for x in range(p) if (x * x - a) % p == 0)
+
+
+def _reflect(cartan, coords, j):
+    # s_j(v) = v - <v, alpha_j^vee> alpha_j with <alpha_i, alpha_j^vee> = C[j][i]
+    out = list(coords)
+    out[j] -= sum(coords[i] * cartan[j][i] for i in range(len(coords)))
+    return tuple(out)
+
+
+def roots_by_closure(cartan) -> set:
+    """All roots in simple-root coordinates: reflect the simple roots until nothing is new."""
+    k = len(cartan)
+    roots = {tuple(1 if i == s else 0 for i in range(k)) for s in range(k)}
+    frontier = list(roots)
+    while frontier:
+        images = {_reflect(cartan, x, j) for x in frontier for j in range(k)}
+        frontier = [r for r in images if r not in roots]
+        roots.update(frontier)
+    return roots
+
+
+def weyl_order_by_closure(datum) -> int:
+    """|W| by breadth-first closure over the images of the simple roots.
+
+    A Weyl element is pinned down by where it sends the simple roots, so the
+    closure runs over tuples of root indices: every element is visited once
+    (51,840 states for E6).  Only the dense Cartan matrix is read.
+    """
+    cartan = datum.cartan_matrix()
+    k = len(cartan)
+    if k == 0:
+        return 1
+    roots = sorted(roots_by_closure(cartan))
+    index = {r: i for i, r in enumerate(roots)}
+    action = [[index[_reflect(cartan, r, j)] for r in roots] for j in range(k)]
+    start = tuple(index[tuple(1 if i == s else 0 for i in range(k))] for s in range(k))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for state in frontier:
+            for j in range(k):
+                image = tuple(action[j][x] for x in state)
+                if image not in seen:
+                    seen.add(image)
+                    new.append(image)
+        frontier = new
+    return len(seen)
+
+
+def positive_root_count(series: str, rank: int) -> int:
+    """|Phi^+| of an irreducible type, from the standard tables."""
+    if series == "A":
+        return rank * (rank + 1) // 2
+    if series in ("B", "C"):
+        return rank * rank
+    if series == "D":
+        return rank * (rank - 1)
+    return {("E", 6): 36, ("E", 7): 63, ("E", 8): 120, ("F", 4): 24, ("G", 2): 6}[(series, rank)]

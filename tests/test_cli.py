@@ -104,6 +104,22 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["satake", "--group", "GL(6)", "--pattern", "6"],
+        ["satake", "--group", "E7sc", "--remove", "a4", "--degrees", "x"],
+        ["division-algebra", "--n", "6", "--inv", "v1=1/0"],
+        ["division-algebra", "--n", "6", "--inv", "v1@x=1/2"],
+    ],
+)
+def test_malformed_options_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_weyl_json(capsys):
     code, payload = run_json(capsys, "weyl", "SL(3)", "--theta", "0")
     assert code == 0

@@ -1,6 +1,9 @@
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from innerforms.errors import GroupSpecError, TransferError
 from innerforms.grothendieck import (
@@ -229,6 +232,56 @@ def test_parse_checks_arity_and_totals():
         parse_virtual("(2):a", n=4)
     with pytest.raises(GroupSpecError):
         parse_virtual("garbage")
+
+
+def test_parse_accumulates_repeated_and_cancelling_terms():
+    assert parse_virtual("(2):a - (2):a") == zero()
+    assert parse_virtual("(2):a - (2):a").render() == "0"
+    assert parse_virtual("(2):a + (2):a - 3*(2):a") == -steinberg(2, "a")
+    assert parse_virtual(
+        "(1,1):x,y + 2*(2):a + (1,1):x,y - (2):a - 2*(1,1):x,y"
+    ) == steinberg(2, "a")
+    assert parse_virtual("(2):a - (2):a + (2):b") == steinberg(2, "b")
+
+
+TAGS = ("a", "b", "St", "x'", "_u1")
+
+
+@st.composite
+def terms(draw, n):
+    """One (coefficient, basis element) pair with a composition of n."""
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    comp = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+    tags = tuple(draw(st.sampled_from(TAGS)) for _ in comp)
+    return draw(st.integers(-3, 3)), elem(comp, tags)
+
+
+@st.composite
+def term_lists(draw):
+    n = draw(st.integers(1, 6))
+    return draw(st.lists(terms(n), max_size=8))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(term_lists())
+def test_parse_render_round_trip_property(pairs):
+    element = VirtualElement({e: c for c, e in pairs})
+    assert parse_virtual(element.render()) == element
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(term_lists())
+def test_parse_matches_termwise_sum(pairs):
+    # repeated and cancelling terms accumulate exactly as a fold of additions
+    pairs = [(c, e) for c, e in pairs if c]
+    if not pairs:
+        return
+    text = " ".join(
+        f"{'-' if c < 0 else '+'} {abs(c)}*{e.render()}" for c, e in pairs
+    ).lstrip("+ ")
+    expected = reduce(lambda acc, ce: acc + VirtualElement.of(ce[1], ce[0]), pairs, zero())
+    assert parse_virtual(text) == expected
 
 
 def test_render_zero():

@@ -1,3 +1,6 @@
+from itertools import combinations
+from math import gcd
+
 import pytest
 
 from innerforms.errors import DatumError
@@ -9,6 +12,7 @@ from innerforms.levi import (
     remove_indices,
 )
 from innerforms.rootdata import build_catalog_group, classify
+from oracles import cofactor_det
 
 
 def desc_for(tag, params, removed):
@@ -176,3 +180,33 @@ def test_envelope_size_identity():
             report = analyze_levi(LeviDescriptor(datum, theta))
             if report.condition_one:
                 assert sum(n - 1 for n in report.gl_envelope) == len(theta)
+
+
+def surjective_oracle(rows, n) -> bool:
+    """x -> (row . x) maps Z^n onto Z^r iff the r x r minors have gcd 1."""
+    r = len(rows)
+    if r > n:
+        return False
+    g = 0
+    for cols in combinations(range(n), r):
+        g = gcd(g, cofactor_det([[row[c] for c in cols] for row in rows]))
+    return g == 1
+
+
+@pytest.mark.parametrize(
+    "tag,params",
+    [("GL", [5]), ("SL", [4]), ("PGL", [4]), ("Sp", [6]), ("GSp", [6]), ("GSpin", [7]),
+     ("GSpin", [8]), ("SO", [8])],
+)
+def test_envelope_exact_matches_minor_oracle(tag, params):
+    datum = build_catalog_group(tag, params)
+    for theta in all_subsets(datum.semisimple_rank):
+        report = analyze_levi(LeviDescriptor(datum, theta))
+        extra = datum.rank - len(theta) - len(report.components)
+        expected = (
+            report.condition_one
+            and extra >= 0
+            and surjective_oracle([datum.simple_roots[t] for t in theta], datum.rank)
+            and surjective_oracle([datum.simple_coroots[t] for t in theta], datum.rank)
+        )
+        assert report.envelope_exact == expected, theta

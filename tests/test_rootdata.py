@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from innerforms.errors import DatumError, GroupSpecError
 from innerforms.rootdata import (
@@ -274,6 +276,49 @@ def test_fundamental_group_unimodular_invariance():
             assert det_int(u) in (1, -1)
             moved = change_basis(datum, u)
             assert fundamental_group(moved).invariant_factors == base.invariant_factors
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([("GL", [5]), ("GSp", [8]), ("GSpin", [10]), ("PGL", [4]), ("E6sc", []),
+                     ("F4", []), ("G2", []), ("Spin", [4]), ("SO", [8])]),
+    st.integers(0, 2**32 - 1),
+)
+def test_cartan_matrix_matches_dense_pairing_after_basis_change(spec, seed):
+    tag, params = spec
+    base = build_catalog_group(tag, params)
+    datum = change_basis(base, random_unimodular(base.rank, random.Random(seed), steps=20))
+    k = datum.semisimple_rank
+    dense = [
+        [sum(a * b for a, b in zip(datum.simple_roots[j], datum.simple_coroots[i]))
+         for j in range(k)]
+        for i in range(k)
+    ]
+    adjacency = [[j for j in range(k) if j != i and dense[i][j]] for i in range(k)]
+    assert datum.cartan_matrix() == dense == base.cartan_matrix()
+    assert datum.adjacency() == adjacency
+    # the returned lists are copies: mutating them leaves the datum unchanged
+    cartan = datum.cartan_matrix()
+    cartan[0][0] = 7
+    cartan.append([0] * k)
+    nbrs = datum.adjacency()
+    nbrs[0].append(k + 5)
+    assert datum.cartan_matrix() == dense
+    assert datum.adjacency() == adjacency
+    assert classify(datum) == classify(base)
+
+
+@pytest.mark.parametrize(
+    "tag,params,expected",
+    [("Sp", [6], (1, 1, 2)), ("Spin", [7], (2, 2, 1)), ("G2", [], (1, 3)),
+     ("F4", [], (2, 2, 1, 1)), ("GL", [4], (1, 1, 1)), ("GL", [1], ())],
+)
+def test_symmetrizer_symmetrizes_cartan(tag, params, expected):
+    datum = build_catalog_group(tag, params)
+    d, cartan = datum.symmetrizer, datum.cartan
+    assert d == expected
+    k = datum.semisimple_rank
+    assert all(d[i] * cartan[i][j] == d[j] * cartan[j][i] for i in range(k) for j in range(k))
 
 
 def test_dual_datum_involution():

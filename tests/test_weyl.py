@@ -1,20 +1,36 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from innerforms.errors import EnumerationLimitError
-from innerforms.rootdata import build_catalog_group, weyl_order_closed_form
+from innerforms.levi import LeviDescriptor, levi_datum
+from innerforms.rootdata import (
+    build_catalog_group,
+    classify,
+    simply_connected_datum,
+    weyl_order_closed_form,
+)
 from innerforms.weyl import (
     WeylWord,
     coords_to_vector,
     find_w_theta,
+    orbit_product_order,
     positive_roots_coords,
     rank_one_decomposition,
     reduced_roots,
     weyl_group_order,
     word_matrix,
 )
-from oracles import proportional_positive, rational_kernel
+from oracles import (
+    positive_root_count,
+    proportional_positive,
+    rational_kernel,
+    roots_by_closure,
+    weyl_order_by_closure,
+)
 
 ORDER_CASES = [
     ("SL", [2], 2),        # A1
@@ -30,13 +46,25 @@ ORDER_CASES = [
     ("Sp", [8], 384),      # C4
     ("Spin", [8], 192),    # D4: 2^3 * 4!
     ("G2", [], 12),        # dihedral of order 12
+    ("SL", [7], 5040),     # A6
+    ("Spin", [11], 3840),  # B5
+    ("Spin", [13], 46080), # B6
+    ("Sp", [10], 3840),    # C5
+    ("Sp", [12], 46080),   # C6
+    ("Spin", [10], 1920),  # D5
+    ("Spin", [12], 23040), # D6
+    ("E6sc", [], 51840),
+    ("F4", [], 1152),
 ]
 
 
 @pytest.mark.parametrize("tag,params,expected", ORDER_CASES)
 def test_weyl_orders_match_closed_forms(tag, params, expected):
+    # every irreducible type the catalog reaches up to semisimple rank 6; the
+    # closure enumerator is the independent check on the orbit recursion
     datum = build_catalog_group(tag, params)
     assert weyl_group_order(datum) == expected
+    assert weyl_order_by_closure(datum) == expected
     series, rank = classify_single(datum)
     assert weyl_order_closed_form(series, rank) == expected
 
@@ -54,13 +82,59 @@ def test_weyl_order_product():
     assert weyl_group_order(datum) == 6
 
 
+def test_weyl_order_e6():
+    assert weyl_group_order(build_catalog_group("E6sc", [])) == 51840
+
+
 def test_weyl_order_bound():
     with pytest.raises(EnumerationLimitError):
         weyl_group_order(build_catalog_group("E7sc", []))
 
 
-def test_weyl_order_e6():
-    assert weyl_group_order(build_catalog_group("E6sc", [])) == 51840
+@pytest.mark.parametrize(
+    "series,rank",
+    [("A", 8), ("B", 7), ("C", 5), ("D", 6), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)],
+)
+def test_root_generation_matches_reflection_closure(series, rank):
+    datum = simply_connected_datum(series, rank)
+    roots = roots_by_closure(datum.cartan_matrix())
+    positives = positive_roots_coords(datum)
+    assert set(positives) == {r for r in roots if all(c >= 0 for c in r)}
+    assert len(positives) == positive_root_count(series, rank)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sets(st.integers(0, 7)))
+def test_root_generation_on_levi_subsystems(subset):
+    datum = build_catalog_group("E8", [])
+    levi = levi_datum(LeviDescriptor(datum, tuple(subset)))
+    expected = sum(positive_root_count(s, r) for s, r in classify(levi).components)
+    assert len(positive_roots_coords(levi)) == expected
+
+
+@pytest.mark.parametrize("tag,params", [("GL", [5]), ("GSp", [8]), ("GSpin", [9]), ("Spin", [4])])
+def test_orbit_recursion_on_reductive_and_reducible_groups(tag, params):
+    datum = build_catalog_group(tag, params)
+    assert weyl_group_order(datum) == weyl_order_by_closure(datum)
+
+
+@pytest.mark.parametrize(
+    "series,rank", [("E", 7), ("E", 8), ("A", 7), ("B", 8), ("C", 8), ("D", 8), ("F", 4)]
+)
+def test_orbit_product_beyond_enumeration_bound(series, rank):
+    datum = simply_connected_datum(series, rank)
+    assert orbit_product_order(datum) == weyl_order_closed_form(series, rank)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["E8", "E7sc", "F4"]), st.sets(st.integers(0, 7)))
+def test_orbit_product_on_parabolic_subgroups(tag, subset):
+    # |W_S| is the product of the closed forms over the components of S
+    datum = build_catalog_group(tag, [])
+    subset = {s for s in subset if s < datum.semisimple_rank}
+    levi = levi_datum(LeviDescriptor(datum, tuple(subset)))
+    expected = prod(weyl_order_closed_form(s, r) for s, r in classify(levi).components)
+    assert orbit_product_order(levi) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +339,39 @@ def test_rank_one_groups_have_levi_as_maximal():
         for rr, m_alpha_type in rank_one_decomposition(datum, theta):
             assert m_alpha_type.semisimple_rank == len(theta) + 1
             assert m_alpha_type.torus_rank == datum.rank - len(theta) - 1
+
+
+@pytest.mark.parametrize(
+    "tag,params,theta",
+    [
+        ("Sp", [8], [0, 2]),
+        ("Spin", [9], [1]),
+        ("GSpin", [10], [0, 3]),
+        ("SL", [6], [1, 2]),
+        ("E6sc", [], [0, 2, 5]),
+        ("E7sc", [], [1, 3]),
+        ("E8", [], [0, 2, 3, 7]),
+        ("F4", [], [1]),
+        ("G2", [], []),
+    ],
+)
+def test_rank_one_types_match_kernel_oracle(tag, params, theta):
+    # members of M_alpha straight from the definition: the positive roots
+    # vanishing on the rational kernel of theta's roots and one preimage
+    datum = build_catalog_group(tag, params)
+    positives = [coords_to_vector(datum, c) for c in positive_roots_coords(datum)]
+    theta_rows = [list(datum.simple_roots[t]) for t in theta]
+    decomposition = rank_one_decomposition(datum, theta)
+    assert [rr for rr, _ in decomposition] == reduced_roots(datum, theta)
+    for rr, m_alpha_type in decomposition:
+        a_alpha = rational_kernel(theta_rows + [list(rr.preimages[0])], datum.rank)
+        members = [
+            v for v in positives if all(sum(a * b for a, b in zip(v, y)) == 0 for y in a_alpha)
+        ]
+        count = sum(positive_root_count(s, r) for s, r in m_alpha_type.components)
+        assert count == len(members)
+        assert m_alpha_type.semisimple_rank == len(theta) + 1
+        assert m_alpha_type.torus_rank == datum.rank - len(theta) - 1
 
 
 def test_longest_word_properties():
