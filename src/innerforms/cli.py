@@ -30,7 +30,13 @@ from .kottwitz import (
     kottwitz_group,
 )
 from .levi import LeviDescriptor, analyze_levi, is_maximal, remove_indices
-from .rootdata import BasedRootDatum, build_catalog_group, classify, datum_product
+from .rootdata import (
+    BasedRootDatum,
+    build_catalog_group,
+    check_lattice_rank,
+    classify,
+    datum_product,
+)
 from .satake import (
     SatakeDiagram,
     levi_satake_diagram,
@@ -58,6 +64,7 @@ def parse_group_expr(text: str) -> BasedRootDatum:
     if not text:
         raise GroupParseError("empty group expression", 0)
     factors = []
+    total_rank = 0
     pos = 0
     while True:
         match = _GROUP_TOKEN.match(text, pos)
@@ -78,6 +85,9 @@ def parse_group_expr(text: str) -> BasedRootDatum:
                 ) from None
         try:
             factors.append(build_catalog_group(tag, params))
+            # refuse a long product before building its remaining factors
+            total_rank += factors[-1].rank
+            check_lattice_rank(total_rank, "the product")
         except GroupSpecError as exc:
             raise GroupParseError(str(exc), pos) from None
         pos = match.end()

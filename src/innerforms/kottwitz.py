@@ -13,14 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import GroupSpecError
-from .rootdata import (
-    BasedRootDatum,
-    FiniteAbelianGroup,
-    adjoint_datum,
-    center_character_quotient,
-    classify,
-    dual_datum,
-)
+from .rootdata import BasedRootDatum, FiniteAbelianGroup, adjoint_datum, classify
 
 
 @dataclass(frozen=True)
@@ -45,19 +38,21 @@ class InnerFormClass:
 def kottwitz_group(datum: BasedRootDatum) -> FiniteAbelianGroup:
     """A(G) for a split group: the component group of the dual group's center.
 
-    Computed on the dual datum (roots and coroots swapped) as the torsion of
-    its center-character lattice; equivalently the torsion of Y/<coroots> of
-    the original datum.  Trivial for simply connected semisimple groups;
-    order |det Cartan| for adjoint ones.
+    The character lattice of Z(G^) is X(T^)/<roots of G^> = Y/<coroots>, so
+    A(G) has the invariant factors of its torsion, which is pi_1(G)_tors:
+    the datum's cached ``pi1`` is returned.  Trivial for simply connected
+    semisimple groups; order |det Cartan| for adjoint ones.
     """
-    torsion, _ = center_character_quotient(dual_datum(datum))
-    return torsion
+    return datum.pi1
 
 
 def dual_center_positive_dimensional(datum: BasedRootDatum) -> bool:
-    """Whether Z(G^) has positive dimension (non-semisimple G), so pi_0 is a quotient."""
-    _, free = center_character_quotient(dual_datum(datum))
-    return free > 0
+    """Whether Z(G^) has positive dimension (non-semisimple G), so pi_0 is a quotient.
+
+    The simple coroots are linearly independent, so Y/<coroots> has free rank
+    rank - semisimple rank.
+    """
+    return datum.rank > datum.semisimple_rank
 
 
 def inner_form_classes_gl(n: int) -> list[InnerFormClass]:

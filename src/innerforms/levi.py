@@ -16,7 +16,7 @@ from .rootdata import (
     BasedRootDatum,
     DynkinType,
     FiniteAbelianGroup,
-    classify,
+    classify_component,
     cokernel_invariants,
     dynkin_components,
 )
@@ -44,10 +44,11 @@ class LeviReport:
     ``gl_envelope`` lists the n_i of the enveloping product of GL_{n_i}
     (one per type-A component of theta, in ambient node order); it is None
     unless the sandwich condition holds.  ``envelope_exact`` records whether
-    the Levi *is* the envelope times ``central_gl1s`` extra GL_1 factors, as
-    decided by rank bookkeeping plus pairing-lattice surjectivity on both
-    sides; when False the Levi sits strictly between the SL- and GL-products
-    and the quotient lattice is not chosen here.
+    the Levi *is* the envelope times ``central_gl1s`` extra GL_1 factors:
+    given the sandwich condition, that is rank bookkeeping (at least as many
+    coordinates as theta's roots plus one per component) and no torsion in
+    Z^rank/<theta's roots>.  When False the Levi sits strictly between the
+    SL- and GL-products and the quotient lattice is not chosen here.
     """
 
     derived_type: DynkinType
@@ -85,8 +86,12 @@ def analyze_levi(desc: LeviDescriptor) -> LeviReport:
     amb = desc.ambient
     theta = desc.theta
     comps = tuple(tuple(c) for c in dynkin_components(amb, theta))
-    sub = levi_datum(desc)
-    derived_type = classify(sub)
+    # the Levi's Cartan matrix is the ambient one restricted to theta, so its
+    # components carry the same labels as theta's components in the ambient
+    derived_type = DynkinType(
+        components=tuple(classify_component(amb, list(c)) for c in comps),
+        torus_rank=amb.rank - len(theta),
+    )
 
     pi1_factors, _ = cokernel_invariants(
         [amb.simple_coroots[t] for t in theta], amb.rank

@@ -9,6 +9,7 @@ constructors build the split groups used elsewhere in the package.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -18,6 +19,20 @@ from .errors import DatumError, GroupSpecError
 
 Vector = tuple[int, ...]
 IntMatrix = list[list[int]]
+
+#: Largest character-lattice rank of a catalog group or a product.  Roots and
+#: coroots are dense tuples of this length, so larger requests are refused
+#: before anything is allocated.
+MAX_LATTICE_RANK = 1024
+
+
+def check_lattice_rank(rank: int, what: str) -> None:
+    """Raise GroupSpecError when ``what`` would have lattice rank above the cap."""
+    if rank > MAX_LATTICE_RANK:
+        raise GroupSpecError(
+            f"{what} has lattice rank {rank}, above the limit of {MAX_LATTICE_RANK}"
+        )
+
 
 # ---------------------------------------------------------------------------
 # integer matrix helpers
@@ -123,13 +138,20 @@ def smith_normal_form(matrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     while t < min(rows, cols):
         while True:
             # Rosser pivoting: re-select the least-magnitude nonzero entry of
-            # the trailing block every round, which keeps entry growth tame
+            # the trailing block every round, which keeps entry growth tame;
+            # the scan stops at the first +-1, which no later entry can beat
             pivot = None
+            least = 0
             for i in range(t, rows):
+                row = a[i]
                 for j in range(t, cols):
-                    x = a[i][j]
-                    if x != 0 and (pivot is None or abs(x) < abs(a[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
+                    x = row[j]
+                    if x != 0 and (pivot is None or abs(x) < least):
+                        pivot, least = (i, j), abs(x)
+                        if least == 1:
+                            break
+                if least == 1:
+                    break
             if pivot is None:
                 break
             if pivot[0] != t:
@@ -155,6 +177,8 @@ def smith_normal_form(matrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                         reduced = True
             if reduced:
                 continue  # nonzero remainders shrink the next pivot strictly
+            if least == 1:
+                break  # a unit divides everything
             # pivot must divide the rest of the block for the chain to hold
             fix = None
             for i in range(t + 1, rows):
@@ -183,13 +207,67 @@ def diagonal_of(d: IntMatrix) -> list[int]:
 
 
 def cokernel_invariants(rows: list[Vector], ambient_rank: int) -> tuple[list[int], int]:
-    """Invariant factors (>1) and free rank of Z^ambient_rank / <rows>."""
-    if not rows:
-        return [], ambient_rank
-    _, d, _ = smith_normal_form([list(r) for r in rows])
-    diag = [x for x in diagonal_of(d) if x != 0]
-    torsion = [x for x in diag if x > 1]
-    return torsion, ambient_rank - len(diag)
+    """Invariant factors (>1) and free rank of Z^ambient_rank / <rows>.
+
+    Only the invariants are computed, never the transforms.  The rows are
+    kept sparse and every +-1 entry that can be reached is used as a pivot
+    first (shortest row first, then the column in the fewest rows): clearing
+    its column from the other rows and dropping the pivot row splits off an
+    invariant factor 1 and the pivot's coordinate.  Whatever is left, for
+    root data nothing or a tiny block, goes to :func:`smith_normal_form`.
+    """
+    live: dict[int, dict[int, int]] = {}  # row id -> {column: nonzero entry}
+    at: dict[int, set[int]] = {}  # column -> ids of the live rows using it
+    for i, row in enumerate(rows):
+        entries = {j: x for j, x in enumerate(row) if x}
+        if entries:
+            live[i] = entries
+            for j in entries:
+                at.setdefault(j, set()).add(i)
+    queue = [(len(entries), i) for i, entries in live.items()]
+    heapq.heapify(queue)
+    units = 0
+    while queue:
+        size, i = heapq.heappop(queue)
+        pivot_row = live.get(i)
+        if pivot_row is None or len(pivot_row) != size:
+            continue  # stale: the row was dropped or changed and queued again
+        unit_cols = [j for j, x in pivot_row.items() if x == 1 or x == -1]
+        if not unit_cols:
+            continue  # queued again if an elimination changes it
+        col = min(unit_cols, key=lambda j: len(at[j]))
+        sign = pivot_row[col]
+        del live[i]
+        for j in pivot_row:
+            at[j].discard(i)
+        for k in list(at[col]):
+            row = live[k]
+            factor = row[col] * sign
+            for j, x in pivot_row.items():
+                y = row.get(j, 0) - factor * x
+                if y:
+                    if j not in row:
+                        at[j].add(k)
+                    row[j] = y
+                elif j in row:
+                    del row[j]
+                    at[j].discard(k)
+            if row:
+                heapq.heappush(queue, (len(row), k))
+            else:
+                del live[k]
+        units += 1
+    diag: list[int] = []
+    if live:
+        cols = sorted(j for j, ids in at.items() if ids)
+        index = {j: c for c, j in enumerate(cols)}
+        block = [[0] * len(cols) for _ in live]
+        for dense_row, row in zip(block, live.values()):
+            for j, x in row.items():
+                dense_row[index[j]] = x
+        _, d, _ = smith_normal_form(block)
+        diag = [x for x in diagonal_of(d) if x != 0]
+    return [x for x in diag if x > 1], ambient_rank - units - len(diag)
 
 
 def integer_kernel_basis(rows: list[Vector], n: int) -> list[Vector]:
@@ -200,20 +278,6 @@ def integer_kernel_basis(rows: list[Vector], n: int) -> list[Vector]:
     nonzero = sum(1 for x in diagonal_of(d) if x != 0)
     vt = transpose(v)  # columns of v as rows
     return [tuple(vt[j]) for j in range(nonzero, n)]
-
-
-def random_unimodular(rank: int, rng, steps: int = 12) -> IntMatrix:
-    """Random unimodular matrix built from shears and signed swaps."""
-    m = identity_matrix(rank)
-    for _ in range(steps):
-        i, j = rng.randrange(rank), rng.randrange(rank)
-        if i == j:
-            m[i] = [-x for x in m[i]]
-            continue
-        c = rng.randint(-2, 2)
-        for k in range(rank):
-            m[i][k] += c * m[j][k]
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -299,38 +363,6 @@ class DynkinType:
         return body
 
 
-#: |W| and |det Cartan| for the irreducible series, used as test oracles.
-def weyl_order_closed_form(series: str, rank: int) -> int:
-    fact = 1
-    for k in range(2, rank + 1):
-        fact *= k
-    if series == "A":
-        return fact * (rank + 1)
-    if series in ("B", "C"):
-        return (2**rank) * fact
-    if series == "D":
-        return (2 ** (rank - 1)) * fact
-    if series == "G":
-        return 12
-    if series == "F":
-        return 1152
-    if series == "E":
-        return {6: 51840, 7: 2903040, 8: 696729600}[rank]
-    raise GroupSpecError(f"unknown series {series}")
-
-
-def cartan_determinant_closed_form(series: str, rank: int) -> int:
-    if series == "A":
-        return rank + 1
-    if series in ("B", "C"):
-        return 2
-    if series == "D":
-        return 4
-    if series == "E":
-        return {6: 3, 7: 2, 8: 1}[rank]
-    return 1  # F4, G2
-
-
 # ---------------------------------------------------------------------------
 # based root data
 
@@ -340,10 +372,10 @@ class BasedRootDatum:
     """Character lattice Z^rank with chosen simple roots and simple coroots.
 
     The pairing <alpha_j, alpha_i^vee> is the plain dot product; validation
-    checks that it forms a classifiable Cartan matrix.  The Cartan matrix and
-    the Dynkin adjacency and type are computed once per instance (``cartan``,
-    ``neighbours``, ``dynkin_type``); ``cartan_matrix()`` and ``adjacency()``
-    hand out copies.
+    checks that it forms a classifiable Cartan matrix.  The Cartan matrix,
+    the Dynkin adjacency and type, and pi_1 are computed once per instance
+    (``cartan``, ``neighbours``, ``dynkin_type``, ``pi1``);
+    ``cartan_matrix()`` and ``adjacency()`` hand out copies.
     """
 
     rank: int
@@ -425,6 +457,12 @@ class BasedRootDatum:
         """Component multiset plus central torus rank; see :func:`classify`."""
         labels = tuple(classify_component(self, comp) for comp in dynkin_components(self))
         return DynkinType(components=labels, torus_rank=self.rank - self.semisimple_rank)
+
+    @cached_property
+    def pi1(self) -> FiniteAbelianGroup:
+        """Torsion of Y / <simple coroots>; see :func:`fundamental_group`."""
+        torsion, _ = cokernel_invariants(list(self.simple_coroots), self.rank)
+        return FiniteAbelianGroup(tuple(torsion))
 
     def cartan_matrix(self) -> IntMatrix:
         """C[i][j] = <alpha_j, alpha_i^vee>, as a fresh list of lists."""
@@ -572,16 +610,9 @@ def fundamental_group(datum: BasedRootDatum) -> FiniteAbelianGroup:
     """Torsion of (cocharacter lattice) / (span of the simple coroots).
 
     Trivial exactly when the derived group is simply connected; for an
-    adjoint datum its order is |det Cartan|.
+    adjoint datum its order is |det Cartan|.  Computed once per datum.
     """
-    torsion, _ = cokernel_invariants(list(datum.simple_coroots), datum.rank)
-    return FiniteAbelianGroup(tuple(torsion))
-
-
-def center_character_quotient(datum: BasedRootDatum) -> tuple[FiniteAbelianGroup, int]:
-    """Character group of the center: torsion part and free rank of X/<roots>."""
-    torsion, free = cokernel_invariants(list(datum.simple_roots), datum.rank)
-    return FiniteAbelianGroup(tuple(torsion)), free
+    return datum.pi1
 
 
 def dual_datum(datum: BasedRootDatum) -> BasedRootDatum:
@@ -620,6 +651,7 @@ def change_basis(datum: BasedRootDatum, u: IntMatrix) -> BasedRootDatum:
 def datum_product(data: list[BasedRootDatum], name: str | None = None) -> BasedRootDatum:
     """Direct sum of root data (block coordinates, roots/coroots padded)."""
     total = sum(d.rank for d in data)
+    check_lattice_rank(total, name or "the product")
     roots: list[Vector] = []
     coroots: list[Vector] = []
     offset = 0
@@ -734,12 +766,25 @@ def _gl_datum(n: int, name: str) -> BasedRootDatum:
     return BasedRootDatum(n, roots, roots, name)
 
 
+# lattice rank of each parametric catalog tag as a function of its parameter
+_LATTICE_RANK = {
+    "GL": lambda n: n,
+    "SL": lambda n: n - 1,
+    "PGL": lambda n: n - 1,
+    "Sp": lambda n: n // 2,
+    "GSp": lambda n: n // 2 + 1,
+    "Spin": lambda n: n // 2,
+    "GSpin": lambda n: n // 2 + 1,
+    "SO": lambda n: n // 2,
+}
+
+
 def build_catalog_group(name: str, parameters: list[int]) -> BasedRootDatum:
     """Construct a split group from its catalog tag.
 
     Tags: GL(n), SL(n), PGL(n), Sp(2n), GSp(2n), Spin(m), GSpin(m), SO(2n),
     E6sc, E7sc, E8, F4, G2.  Raises GroupSpecError for unknown tags or
-    parameters outside the tag's domain.
+    parameters outside the tag's domain, or above :data:`MAX_LATTICE_RANK`.
     """
     tag = name.strip()
     exceptional = {
@@ -758,6 +803,8 @@ def build_catalog_group(name: str, parameters: list[int]) -> BasedRootDatum:
     if len(parameters) != 1:
         raise GroupSpecError(f"{tag} takes exactly one integer parameter")
     n = parameters[0]
+    if tag in _LATTICE_RANK:
+        check_lattice_rank(_LATTICE_RANK[tag](n), f"{tag}({n})")
 
     if tag == "GL":
         if n < 1:

@@ -2,13 +2,16 @@
 
 These deliberately avoid the library's code paths: determinants by cofactor
 expansion, kernels by rational Gaussian elimination, multiplicative counts
-straight from definitions.
+straight from definitions.  Lattice quotients go through the dense Smith
+normal form, which the library's sparse invariant-factor path does not use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+from innerforms.rootdata import diagonal_of, dual_datum, smith_normal_form
 
 
 def cofactor_det(m) -> int:
@@ -136,3 +139,70 @@ def positive_root_count(series: str, rank: int) -> int:
     if series == "D":
         return rank * (rank - 1)
     return {("E", 6): 36, ("E", 7): 63, ("E", 8): 120, ("F", 4): 24, ("G", 2): 6}[(series, rank)]
+
+
+def random_unimodular(rank: int, rng, steps: int = 12):
+    """Random unimodular matrix built from shears and signed swaps."""
+    m = [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for _ in range(steps):
+        i, j = rng.randrange(rank), rng.randrange(rank)
+        if i == j:
+            m[i] = [-x for x in m[i]]
+            continue
+        c = rng.randint(-2, 2)
+        for k in range(rank):
+            m[i][k] += c * m[j][k]
+    return m
+
+
+def weyl_order_closed_form(series: str, rank: int) -> int:
+    """|W| of an irreducible type, from the standard tables."""
+    fact = 1
+    for k in range(2, rank + 1):
+        fact *= k
+    if series == "A":
+        return fact * (rank + 1)
+    if series in ("B", "C"):
+        return (2**rank) * fact
+    if series == "D":
+        return (2 ** (rank - 1)) * fact
+    if series == "G":
+        return 12
+    if series == "F":
+        return 1152
+    if series == "E":
+        return {6: 51840, 7: 2903040, 8: 696729600}[rank]
+    raise ValueError(f"unknown series {series}")
+
+
+def cartan_determinant_closed_form(series: str, rank: int) -> int:
+    """|det Cartan| of an irreducible type, from the standard tables."""
+    if series == "A":
+        return rank + 1
+    if series in ("B", "C"):
+        return 2
+    if series == "D":
+        return 4
+    if series == "E":
+        return {6: 3, 7: 2, 8: 1}[rank]
+    return 1  # F4, G2
+
+
+def dense_cokernel_invariants(rows, n) -> tuple[list[int], int]:
+    """Invariant factors (>1) and free rank of Z^n/<rows> from the dense SNF."""
+    if not rows:
+        return [], n
+    _, d, _ = smith_normal_form([list(r) for r in rows])
+    diag = [x for x in diagonal_of(d) if x != 0]
+    return [x for x in diag if x > 1], n - len(diag)
+
+
+def kottwitz_by_dual_datum(datum) -> tuple[tuple[int, ...], int]:
+    """A(G) the long way: X*(Z(G^)) = X(T^)/<roots of G^> on the dual datum.
+
+    Returns the invariant factors (>1) of its torsion and its free rank, from
+    the dense Smith normal form of the dual datum's simple roots.
+    """
+    dual = dual_datum(datum)
+    torsion, free = dense_cokernel_invariants(dual.simple_roots, dual.rank)
+    return tuple(torsion), free

@@ -38,7 +38,6 @@ from innerforms.levi import LeviDescriptor, analyze_levi
 from innerforms.rootdata import (
     adjoint_datum,
     build_catalog_group,
-    cartan_determinant_closed_form,
     fundamental_group,
 )
 from innerforms.weyl import (
@@ -48,7 +47,7 @@ from innerforms.weyl import (
     reduced_roots,
     weyl_group_order,
 )
-from oracles import cofactor_det, count_square_roots
+from oracles import cartan_determinant_closed_form, cofactor_det, count_square_roots
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -120,6 +120,14 @@ def test_malformed_options_are_usage_errors(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("group", ["GL(1000000000)", "Spin(2050)", "GL(600)xGL(500)"])
+def test_lattice_rank_cap_is_a_usage_error(capsys, group):
+    code, out, err = run(capsys, "levi", group)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "above the limit of 1024" in err
+
+
 def test_weyl_json(capsys):
     code, payload = run_json(capsys, "weyl", "SL(3)", "--theta", "0")
     assert code == 0

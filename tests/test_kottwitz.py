@@ -10,10 +10,10 @@ from innerforms.kottwitz import (
 from innerforms.rootdata import (
     adjoint_datum,
     build_catalog_group,
-    cartan_determinant_closed_form,
+    datum_product,
     fundamental_group,
 )
-from oracles import cofactor_det, totient
+from oracles import cartan_determinant_closed_form, cofactor_det, kottwitz_by_dual_datum, totient
 
 
 def test_sl_n_has_no_inner_twists():
@@ -68,8 +68,8 @@ def test_simply_connected_kottwitz_trivial(series, rank):
 
 
 def test_kottwitz_agrees_with_fundamental_group_on_catalog():
-    # both compute the torsion of Y/<coroots>: one as pi_1, one through the
-    # component group of the dual center
+    # both are the torsion of Y/<coroots>; A(G) is checked independently
+    # against the dual datum in test_kottwitz_matches_dual_datum_oracle
     for tag, params in [
         ("SL", [6]), ("PGL", [6]), ("GL", [4]), ("Sp", [8]), ("GSp", [8]),
         ("Spin", [9]), ("GSpin", [8]), ("SO", [8]), ("E6sc", []), ("F4", []),
@@ -79,6 +79,36 @@ def test_kottwitz_agrees_with_fundamental_group_on_catalog():
             kottwitz_group(datum).invariant_factors
             == fundamental_group(datum).invariant_factors
         )
+
+
+CATALOG_LADDER = (
+    [("GL", [n]) for n in (1, 2, 5, 12)]
+    + [(tag, [n]) for tag in ("SL", "PGL") for n in (2, 3, 6, 13)]
+    + [(tag, [n]) for tag in ("Sp", "GSp") for n in (2, 4, 10, 24)]
+    + [(tag, [n]) for tag in ("Spin", "GSpin") for n in (3, 4, 5, 6, 8, 9, 14, 21)]
+    + [("SO", [n]) for n in (4, 6, 8, 18)]
+    + [(tag, []) for tag in ("E6sc", "E7sc", "E8", "F4", "G2")]
+)
+
+
+@pytest.mark.parametrize("tag,params", CATALOG_LADDER)
+def test_kottwitz_matches_dual_datum_oracle(tag, params):
+    datum = build_catalog_group(tag, params)
+    torsion, free = kottwitz_by_dual_datum(datum)
+    assert kottwitz_group(datum).invariant_factors == torsion
+    assert dual_center_positive_dimensional(datum) == (free > 0)
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [[("GL", [3]), ("GL", [2])], [("PGL", [4]), ("SO", [8])], [("PGL", [6]), ("PGL", [4])],
+     [("Sp", [6]), ("GSpin", [8]), ("E6sc", [])], [("PGL", [3]), ("PGL", [3]), ("G2", [])]],
+)
+def test_kottwitz_matches_dual_datum_oracle_on_products(specs):
+    datum = datum_product([build_catalog_group(tag, params) for tag, params in specs])
+    torsion, free = kottwitz_by_dual_datum(datum)
+    assert kottwitz_group(datum).invariant_factors == torsion
+    assert dual_center_positive_dimensional(datum) == (free > 0)
 
 
 def test_dual_center_dimension_flag():

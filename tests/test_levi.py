@@ -2,6 +2,8 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from innerforms.errors import DatumError
 from innerforms.levi import (
@@ -11,7 +13,7 @@ from innerforms.levi import (
     levi_datum,
     remove_indices,
 )
-from innerforms.rootdata import build_catalog_group, classify
+from innerforms.rootdata import build_catalog_group, classify, datum_product, fundamental_group
 from oracles import cofactor_det
 
 
@@ -210,3 +212,28 @@ def test_envelope_exact_matches_minor_oracle(tag, params):
             and surjective_oracle([datum.simple_coroots[t] for t in theta], datum.rank)
         )
         assert report.envelope_exact == expected, theta
+
+
+CATALOG_UP_TO_RANK_16 = [
+    ("GL", [16]), ("SL", [17]), ("PGL", [17]), ("Sp", [32]), ("GSp", [30]), ("Spin", [33]),
+    ("Spin", [32]), ("GSpin", [31]), ("GSpin", [30]), ("SO", [32]), ("E6sc", []), ("E7sc", []),
+    ("E8", []), ("F4", []), ("G2", []),
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(st.sampled_from(CATALOG_UP_TO_RANK_16), min_size=1, max_size=2),
+    st.integers(0, 2**32 - 1),
+)
+def test_levi_report_matches_levi_datum(specs, mask):
+    # analyze_levi reads the type off the ambient datum; the Levi's own datum
+    # must classify the same and have the same pi_1
+    factors = [build_catalog_group(tag, params) for tag, params in specs]
+    datum = factors[0] if len(factors) == 1 else datum_product(factors)
+    theta = tuple(i for i in range(datum.semisimple_rank) if mask >> (i % 32) & 1)
+    desc = LeviDescriptor(datum, theta)
+    report = analyze_levi(desc)
+    sub = levi_datum(desc)
+    assert report.derived_type == classify(sub)
+    assert report.derived_pi1 == fundamental_group(sub)

@@ -1,29 +1,35 @@
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from innerforms.errors import DatumError, GroupSpecError
 from innerforms.rootdata import (
+    MAX_LATTICE_RANK,
     BasedRootDatum,
     FiniteAbelianGroup,
     adjoint_datum,
     build_catalog_group,
-    cartan_determinant_closed_form,
     change_basis,
     classify,
+    cokernel_invariants,
     datum_product,
     det_int,
     diagonal_of,
     dual_datum,
     fundamental_group,
     mat_mul,
-    random_unimodular,
     simply_connected_datum,
     smith_normal_form,
 )
-from oracles import cofactor_det
+from oracles import (
+    cartan_determinant_closed_form,
+    cofactor_det,
+    dense_cokernel_invariants,
+    random_unimodular,
+)
 
 GOLDEN_TYPES = [
     ("SL", [2], "A1"),
@@ -223,6 +229,47 @@ def test_snf_zero_and_rectangular():
     assert diagonal_of(d) == [2]
 
 
+def matrices(entries):
+    """Rectangular matrices (including empty, zero-row and zero-column ones) as row tuples."""
+    return st.integers(0, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.tuples(*[entries] * n), min_size=0, max_size=9)
+        )
+    )
+
+
+UNIT_HEAVY = st.sampled_from([0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3])
+NO_UNITS = st.sampled_from([0, 0, 2, -2, 3, 4, -6, 9, 12])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(matrices(UNIT_HEAVY), matrices(NO_UNITS), matrices(st.integers(-7, 7))))
+def test_cokernel_invariants_match_dense_snf(shape):
+    n, rows = shape
+    assert cokernel_invariants(rows, n) == dense_cokernel_invariants(rows, n)
+
+
+def test_cokernel_invariants_edge_cases():
+    assert cokernel_invariants([], 3) == ([], 3)
+    assert cokernel_invariants([(), ()], 0) == ([], 0)
+    assert cokernel_invariants([(0, 0, 0)] * 2, 3) == ([], 3)
+    assert cokernel_invariants([(2, 0, 0), (0, 0, 4)], 3) == ([2, 4], 1)
+    # a unit pivot that leaves a B/C tail's 2 for the dense finish
+    assert cokernel_invariants([(1, -1, 0), (0, 1, -1), (0, 0, 2)], 3) == ([2], 0)
+    assert cokernel_invariants([(2, 4), (6, 8)], 2) == ([2, 4], 0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(matrices(st.integers(-4, 4)), st.integers(0, 2**32 - 1))
+def test_cokernel_invariants_unimodular_invariance(shape, seed):
+    n, rows = shape
+    assume(rows and n)
+    rng = random.Random(seed)
+    left, right = random_unimodular(len(rows), rng), random_unimodular(n, rng)
+    moved = mat_mul(mat_mul(left, [list(r) for r in rows]), right)
+    assert cokernel_invariants([tuple(r) for r in moved], n) == cokernel_invariants(rows, n)
+
+
 # ---------------------------------------------------------------------------
 # fundamental groups
 
@@ -264,6 +311,22 @@ def test_adjoint_fundamental_group_order_is_cartan_determinant(series, rank):
     det = abs(cofactor_det(datum.cartan_matrix()))
     assert det == cartan_determinant_closed_form(series, rank)
     assert fundamental_group(datum).order == det
+
+
+@pytest.mark.parametrize("rank", [2, 3, 8, 17, 64, 129, 256])
+def test_fundamental_group_rank_ladder(rank):
+    # PGL: pi_1 is cyclic of order |det Cartan|; the simply connected forms
+    # have trivial pi_1, and their adjoint forms have order |det Cartan|
+    pgl = fundamental_group(build_catalog_group("PGL", [rank + 1]))
+    assert pgl.invariant_factors == (cartan_determinant_closed_form("A", rank),)
+    for tag, param, series in [("SL", rank + 1, "A"), ("Sp", 2 * rank, "C"),
+                               ("Spin", 2 * rank + 1, "B"), ("Spin", 2 * rank, "D")]:
+        if series in "BD" and rank < 4:
+            continue
+        assert fundamental_group(build_catalog_group(tag, [param])).is_trivial
+        assert fundamental_group(adjoint_datum(series, rank)).order == (
+            cartan_determinant_closed_form(series, rank)
+        )
 
 
 def test_fundamental_group_unimodular_invariance():
@@ -352,3 +415,35 @@ def test_simply_connected_matches_catalog_realizations():
     # same Dynkin type through a completely different coordinate realization
     assert str(classify(simply_connected_datum("B", 4))) == "B4"
     assert str(classify(build_catalog_group("Spin", [9]))) == "B4"
+
+
+def allocated_peak(call) -> int:
+    """Peak bytes traced while ``call`` runs; it must raise GroupSpecError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupSpecError, match="above the limit"):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lattice_rank_cap_refuses_before_allocating():
+    assert allocated_peak(lambda: build_catalog_group("GL", [10**9])) < 100_000
+    halves = [BasedRootDatum(MAX_LATTICE_RANK // 2 + 1, (), ()) for _ in range(2)]
+    assert allocated_peak(lambda: datum_product(halves)) < 100_000
+
+
+@pytest.mark.parametrize(
+    "tag,param",
+    [("GL", 1025), ("SL", 1026), ("PGL", 1026), ("Sp", 2050), ("GSp", 2048),
+     ("Spin", 2050), ("Spin", 2051), ("GSpin", 2048), ("GSpin", 2049), ("SO", 2050)],
+)
+def test_lattice_rank_cap_per_tag(tag, param):
+    with pytest.raises(GroupSpecError, match=f"lattice rank {MAX_LATTICE_RANK + 1}"):
+        build_catalog_group(tag, [param])
+
+
+def test_lattice_rank_cap_is_inclusive():
+    assert datum_product([BasedRootDatum(MAX_LATTICE_RANK // 2, (), ())] * 2).rank == 1024
+    assert build_catalog_group("GL", [MAX_LATTICE_RANK]).rank == MAX_LATTICE_RANK

@@ -11,7 +11,6 @@ from innerforms.rootdata import (
     build_catalog_group,
     classify,
     simply_connected_datum,
-    weyl_order_closed_form,
 )
 from innerforms.weyl import (
     WeylWord,
@@ -30,6 +29,7 @@ from oracles import (
     rational_kernel,
     roots_by_closure,
     weyl_order_by_closure,
+    weyl_order_closed_form,
 )
 
 ORDER_CASES = [
