@@ -144,6 +144,9 @@ class HasseVector:
 # ---------------------------------------------------------------------------
 # place plans
 
+# most places a plan may list; each one is a PlaceLabel held in memory
+MAX_PLACES = 4096
+
 
 @dataclass(frozen=True)
 class GlobalizationPlan:
@@ -176,11 +179,16 @@ class GlobalizationPlan:
 def plan_places(p: int, l: int) -> GlobalizationPlan:
     """Tower plan with at least l places above p: minimal r with 2^r >= l.
 
+    Raises GroupSpecError for l < 1 or l above :data:`MAX_PLACES`, before
+    anything is built.
+
     >>> plan_places(5, 3).degree
     4
     """
     if l < 1:
         raise GroupSpecError("need at least one place")
+    if l > MAX_PLACES:
+        raise GroupSpecError(f"{l} places requested, above the limit of {MAX_PLACES}")
     r = (l - 1).bit_length()  # minimal r with 2^r >= l
     towers = split_primes(p, r)
     places = tuple(

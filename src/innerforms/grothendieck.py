@@ -12,7 +12,8 @@ discrete-series correspondence.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Mapping
 
 from .errors import GroupSpecError, TransferError
@@ -49,16 +50,20 @@ def inner_side(m: int, d: int) -> GroupSide:
     return GroupSide(m=m, d=d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisElement:
-    """Induced from the standard Levi given by ``composition``, one tag per block."""
+    """Induced from the standard Levi given by ``composition``, one tag per block.
+
+    The hash is computed once, after validation; equality compares it first.
+    """
 
     side: GroupSide
     composition: tuple[int, ...]
     labels: tuple[str, ...]
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.composition or any(c < 1 for c in self.composition):
+        if not self.composition or min(self.composition) < 1:
             raise GroupSpecError(f"bad composition {self.composition}")
         if sum(self.composition) != self.side.m:
             raise GroupSpecError(
@@ -66,26 +71,81 @@ class BasisElement:
             )
         if len(self.labels) != len(self.composition):
             raise GroupSpecError("one label per composition block required")
+        object.__setattr__(
+            self, "_hash", hash((self.side, self.composition, self.labels))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from the fields: a string hash differs between processes
+        return BasisElement, (self.side, self.composition, self.labels)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.composition == other.composition
+            and self.labels == other.labels
+            and self.side == other.side
+        )
 
     def render(self) -> str:
-        comp = ",".join(str(c) for c in self.composition)
-        tags = ",".join(self.labels)
-        return f"({comp}):{tags}"
+        return _composition_text(self.composition) + ",".join(self.labels)
+
+
+def _composition_text(composition: tuple[int, ...]) -> str:
+    """The ``(comp):`` head of a rendered term; its tags follow, comma-joined."""
+    return f"({','.join(map(str, composition))}):"
+
+
+_first = itemgetter(0)
+
+
+def _canonical_groups(terms: dict[BasisElement, int]):
+    """Terms in canonical order, grouped by composition.
+
+    Yields (composition, [(labels, element, coefficient), ...]) with the
+    compositions ascending and the labels ascending within a group; equal
+    keys (the same labels on different sides) keep their insertion order.
+    Sorting compositions and labels separately compares less than sorting
+    (composition, labels) pairs, and each composition is rendered once.
+    """
+    groups: dict[tuple[int, ...], list[tuple[tuple[str, ...], BasisElement, int]]] = {}
+    for elt, coeff in terms.items():
+        group = groups.get(elt.composition)
+        if group is None:
+            groups[elt.composition] = [(elt.labels, elt, coeff)]
+        else:
+            group.append((elt.labels, elt, coeff))
+    for composition in sorted(groups):
+        yield composition, sorted(groups[composition], key=_first)
 
 
 class VirtualElement:
-    """Z-linear combination of basis elements; zero coefficients are dropped."""
+    """Z-linear combination of basis elements; zero coefficients are dropped.
+
+    Terms are kept in an unordered dict, so equality and hash do not depend
+    on the order in which terms were added.  The canonical order, by
+    (composition, labels), is applied where order can be seen: ``render``,
+    ``repr`` and the ``terms`` copy.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[BasisElement, int] | None = None):
-        data = {}
-        for elt, coeff in (terms or {}).items():
-            if coeff:
-                data[elt] = coeff
-        self._terms = dict(
-            sorted(data.items(), key=lambda kv: (kv[0].composition, kv[0].labels))
-        )
+        self._terms = {e: c for e, c in terms.items() if c} if terms else {}
+
+    @classmethod
+    def _adopt(cls, terms: dict[BasisElement, int]) -> "VirtualElement":
+        """Wrap a freshly built dict without zero coefficients; no copy."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
 
     @staticmethod
     def of(element: BasisElement, coefficient: int = 1) -> "VirtualElement":
@@ -93,7 +153,11 @@ class VirtualElement:
 
     @property
     def terms(self) -> dict[BasisElement, int]:
-        return dict(self._terms)
+        return {
+            elt: coeff
+            for _, group in _canonical_groups(self._terms)
+            for _, elt, coeff in group
+        }
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -101,20 +165,29 @@ class VirtualElement:
     def coefficient(self, element: BasisElement) -> int:
         return self._terms.get(element, 0)
 
-    def __add__(self, other: "VirtualElement") -> "VirtualElement":
+    def _combine(self, other: "VirtualElement", sign: int) -> "VirtualElement":
         out = dict(self._terms)
         for elt, coeff in other._terms.items():
-            out[elt] = out.get(elt, 0) + coeff
-        return VirtualElement(out)
+            total = out.get(elt, 0) + sign * coeff
+            if total:
+                out[elt] = total
+            else:
+                del out[elt]
+        return VirtualElement._adopt(out)
+
+    def __add__(self, other: "VirtualElement") -> "VirtualElement":
+        return self._combine(other, 1)
 
     def __neg__(self) -> "VirtualElement":
-        return VirtualElement({e: -c for e, c in self._terms.items()})
+        return VirtualElement._adopt({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "VirtualElement") -> "VirtualElement":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def scale(self, c: int) -> "VirtualElement":
-        return VirtualElement({e: c * v for e, v in self._terms.items()})
+        if not c:
+            return zero()
+        return VirtualElement._adopt({e: c * v for e, v in self._terms.items()})
 
     def __rmul__(self, c: int) -> "VirtualElement":
         return self.scale(c)
@@ -123,25 +196,22 @@ class VirtualElement:
         return isinstance(other, VirtualElement) and self._terms == other._terms
 
     def __hash__(self):
-        return hash(tuple(self._terms.items()))
+        return hash(frozenset(self._terms.items()))
 
     def render(self) -> str:
         if not self._terms:
             return "0"
         parts = []
-        for elt, coeff in self._terms.items():
-            body = elt.render()
-            if coeff == 1:
-                piece = body
-            elif coeff == -1:
-                piece = f"-{body}"
-            else:
-                piece = f"{coeff}*{body}"
-            parts.append(piece)
-        out = parts[0]
-        for piece in parts[1:]:
-            out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-        return out
+        for composition, group in _canonical_groups(self._terms):
+            head = _composition_text(composition)
+            for labels, _, coeff in group:
+                sign = " - " if coeff < 0 else " + "
+                if coeff in (1, -1):
+                    parts.append(f"{sign}{head}{','.join(labels)}")
+                else:
+                    parts.append(f"{sign}{abs(coeff)}*{head}{','.join(labels)}")
+        text = "".join(parts)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self):
         return f"VirtualElement({self.render()})"
@@ -161,21 +231,55 @@ def levi_transfers(composition, d: int) -> tuple[int, ...] | None:
     Exists iff every block is divisible by d; raises if d does not divide
     the total (that inner form does not exist at all).
     """
-    comp = tuple(int(c) for c in composition)
+    comp = tuple(map(int, composition))
     n = sum(comp)
     if d < 1 or n % d:
         raise TransferError(f"degree {d} does not divide n = {n}")
-    if any(c % d for c in comp):
+    blocks = [c // d for c in comp]
+    if sum(blocks) * d != n:  # c // d * d < c for some block
         return None
-    return tuple(c // d for c in comp)
+    return tuple(blocks)
 
 
-def _tag_mapper(label_transfer) -> Callable[[str], str]:
+def _tag_mapper(label_transfer) -> Callable[[str], str] | None:
+    """None for the identity, so that tags can be carried over unchanged."""
     if label_transfer is None:
-        return lambda tag: tag
+        return None
     if isinstance(label_transfer, Mapping):
-        return lambda tag: label_transfer[tag]
+        return label_transfer.__getitem__
     return label_transfer
+
+
+def _term_transfer(d: int, label_transfer=None) -> Callable[[BasisElement], BasisElement | None]:
+    """The transfer of single basis elements, for the span of one call.
+
+    Split-ness and d | n are checked once per distinct source side, and
+    ``levi_transfers`` runs once per distinct composition; the returned
+    function gives the image of a basis element, or None if it dies.
+    """
+    mapper = _tag_mapper(label_transfer)
+    inner_sides: dict[GroupSide, GroupSide] = {}
+    targets: dict[tuple[int, ...], tuple[int, ...] | None] = {}
+
+    def transfer(elt: BasisElement) -> BasisElement | None:
+        side = elt.side
+        inner = inner_sides.get(side)
+        if inner is None:
+            if not side.split:
+                raise TransferError("lj_map applies to split-side elements")
+            (m,) = levi_transfers((side.m,), d)
+            inner = inner_sides[side] = inner_side(m, d)
+        comp = elt.composition
+        if comp in targets:
+            target = targets[comp]
+        else:
+            target = targets[comp] = levi_transfers(comp, d)
+        if target is None:
+            return None
+        labels = elt.labels if mapper is None else tuple(mapper(t) for t in elt.labels)
+        return BasisElement(inner, target, labels)
+
+    return transfer
 
 
 def lj_map(element: VirtualElement, d: int, label_transfer=None) -> VirtualElement:
@@ -185,21 +289,16 @@ def lj_map(element: VirtualElement, d: int, label_transfer=None) -> VirtualEleme
     the rest keep their coefficients, with block sizes divided by d and tags
     carried through ``label_transfer`` (a bijection; identity by default).
     """
-    mapper = _tag_mapper(label_transfer)
-    out: dict[BasisElement, int] = {}
-    for elt, coeff in element.terms.items():
-        if not elt.side.split:
-            raise TransferError("lj_map applies to split-side elements")
-        target = levi_transfers(elt.composition, d)
-        if target is None:
-            continue
-        image = BasisElement(
-            side=inner_side(elt.side.m // d, d),
-            composition=target,
-            labels=tuple(mapper(t) for t in elt.labels),
-        )
-        out[image] = out.get(image, 0) + coeff
-    return VirtualElement(out)
+    transfer = _term_transfer(d, label_transfer)
+    images = [(transfer(elt), coeff) for elt, coeff in element._terms.items()]
+    kept = [(image, coeff) for image, coeff in images if image is not None]
+    if label_transfer is None:
+        # distinct split terms have distinct images: nothing merges
+        return VirtualElement._adopt(dict(kept))
+    merged: dict[BasisElement, int] = {}
+    for image, coeff in kept:  # a tag map that is not injective merges terms
+        merged[image] = merged.get(image, 0) + coeff
+    return VirtualElement(merged)
 
 
 def unitary_transfer(element: VirtualElement, d: int, label_transfer=None) -> BasisElement:
@@ -209,13 +308,13 @@ def unitary_transfer(element: VirtualElement, d: int, label_transfer=None) -> Ba
     element with coefficient 1 whose composition transfers; the image is the
     corresponding inner basis element.  Raises TransferError otherwise.
     """
-    terms = element.terms
+    terms = element._terms
     if len(terms) != 1 or set(terms.values()) != {1}:
         raise TransferError("unitary transfer applies to a single basis term")
-    image = lj_map(element, d, label_transfer)
-    if image.is_zero():
+    (source,) = terms
+    target = _term_transfer(d, label_transfer)(source)
+    if target is None:
         raise TransferError("term is not transferable (its Levi has no counterpart)")
-    ((target, _),) = image.terms.items()
     return target
 
 
@@ -271,23 +370,31 @@ def gl2_trivial(tag1: str = "x", tag2: str = "y", st_tag: str = "St") -> Virtual
     return gl2_principal_series(tag1, tag2) - steinberg(2, st_tag)
 
 
+def _tensor_key(item: tuple[tuple[BasisElement, ...], int]):
+    return tuple((e.composition, e.labels) for e in item[0])
+
+
 class TensorElement:
-    """Formal sum of tuples of basis elements (one per GL factor of a product)."""
+    """Formal sum of tuples of basis elements (one per GL factor of a product).
+
+    Like ``VirtualElement``: unordered terms, canonical order in ``terms``.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[BasisElement, ...], int] | None = None):
-        data = {k: v for k, v in (terms or {}).items() if v}
-        self._terms = dict(
-            sorted(
-                data.items(),
-                key=lambda kv: tuple((e.composition, e.labels) for e in kv[0]),
-            )
-        )
+        self._terms = {k: v for k, v in terms.items() if v} if terms else {}
+
+    @classmethod
+    def _adopt(cls, terms: dict[tuple[BasisElement, ...], int]) -> "TensorElement":
+        """Wrap a freshly built dict without zero coefficients; no copy."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
 
     @property
     def terms(self) -> dict[tuple[BasisElement, ...], int]:
-        return dict(self._terms)
+        return dict(sorted(self._terms.items(), key=_tensor_key))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -296,44 +403,44 @@ class TensorElement:
         return isinstance(other, TensorElement) and self._terms == other._terms
 
     def __hash__(self):
-        return hash(tuple(self._terms.items()))
+        return hash(frozenset(self._terms.items()))
 
 
 def tensor(*factors: VirtualElement) -> TensorElement:
     """Tensor product of per-factor virtual elements."""
+    # distinct prefixes extended by distinct elements stay distinct, and
+    # products of nonzero coefficients are nonzero: nothing to accumulate
     terms: dict[tuple[BasisElement, ...], int] = {(): 1}
     for factor in factors:
-        new: dict[tuple[BasisElement, ...], int] = {}
-        for prefix, c0 in terms.items():
-            for elt, c1 in factor.terms.items():
-                key = prefix + (elt,)
-                new[key] = new.get(key, 0) + c0 * c1
-        terms = new
-    return TensorElement(terms)
+        terms = {
+            prefix + (elt,): c0 * c1
+            for prefix, c0 in terms.items()
+            for elt, c1 in factor._terms.items()
+        }
+    return TensorElement._adopt(terms)
 
 
 def tensor_lj(element: TensorElement, degrees) -> TensorElement:
     """Factorwise transfer of a product element; a term dies if any factor dies."""
     degrees = tuple(degrees)
+    steps = [(_term_transfer(d), {}) for d in degrees]
     out: dict[tuple[BasisElement, ...], int] = {}
-    for key, coeff in element.terms.items():
+    for key, coeff in element._terms.items():
         if len(key) != len(degrees):
             raise TransferError("one degree per tensor factor required")
         images = []
-        dead = False
-        for elt, d in zip(key, degrees):
-            image = lj_map(VirtualElement.of(elt), d)
-            if image.is_zero():
-                dead = True
+        for elt, (transfer, seen) in zip(key, steps):
+            if elt in seen:
+                image = seen[elt]
+            else:
+                image = seen[elt] = transfer(elt)
+            if image is None:
                 break
-            ((ielt, icoeff),) = image.terms.items()
-            assert icoeff == 1
-            images.append(ielt)
-        if dead:
-            continue
-        tkey = tuple(images)
-        out[tkey] = out.get(tkey, 0) + coeff
-    return TensorElement(out)
+            images.append(image)
+        else:
+            # the images of distinct split terms are distinct
+            out[tuple(images)] = coeff
+    return TensorElement._adopt(out)
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +473,19 @@ def parse_virtual(text: str, n: int | None = None) -> VirtualElement:
     total: dict[BasisElement, int] = {}
     first = True
     seen_n = n
+    side = None
     while pos < len(text):
         match = _TERM_RE.match(text, pos)
         if match is None or match.start() != pos:
             raise GroupSpecError(f"cannot parse element near offset {pos}: {text[pos:pos+20]!r}")
-        sign = match.group("sign")
+        sign, coeff_text, comp_text, tags_text = match.group("sign", "coeff", "comp", "tags")
         if first and sign is None:
             sign = "+"
         if sign is None:
             raise GroupSpecError(f"missing +/- between terms at offset {pos}")
-        coeff = int(match.group("coeff") or 1) * (1 if sign == "+" else -1)
-        comp = tuple(int(x) for x in _LIST_SEP.split(match.group("comp")))
-        tags = tuple(_LIST_SEP.split(match.group("tags")))
+        coeff = int(coeff_text or 1) * (1 if sign == "+" else -1)
+        comp = tuple(map(int, _LIST_SEP.split(comp_text)))
+        tags = tuple(_LIST_SEP.split(tags_text))
         if len(tags) != len(comp):
             raise GroupSpecError(
                 f"term {match.group(0).strip()!r}: {len(comp)} blocks but {len(tags)} tags"
@@ -389,7 +497,9 @@ def parse_virtual(text: str, n: int | None = None) -> VirtualElement:
             raise GroupSpecError(
                 f"composition {comp} sums to {total_n}, expected {seen_n}"
             )
-        element = BasisElement(split_side(total_n), comp, tags)
+        if side is None:
+            side = split_side(total_n)
+        element = BasisElement(side, comp, tags)
         total[element] = total.get(element, 0) + coeff
         first = False
         pos = match.end()

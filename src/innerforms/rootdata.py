@@ -13,6 +13,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import lcm
 
 from .errors import DatumError, GroupSpecError
@@ -393,7 +394,7 @@ class BasedRootDatum:
         for v in self.simple_roots + self.simple_coroots:
             if len(v) != self.rank:
                 raise DatumError("vector length does not match rank")
-        validate_cartan_matrix(self.cartan)
+        validate_cartan_matrix(self.cartan, self.neighbours)
         # classifiability check; raises DatumError on garbage
         self.dynkin_type
 
@@ -410,26 +411,27 @@ class BasedRootDatum:
     def cartan(self) -> tuple[tuple[int, ...], ...]:
         """C[i][j] = <alpha_j, alpha_i^vee>, built from the nonzero coordinates only."""
         k = self.semisimple_rank
-        roots_at: list[list[tuple[int, int]]] = [[] for _ in range(self.rank)]
+        coords = range(self.rank)
+        roots_at: list[list[tuple[int, int]]] = [[] for _ in coords]
         for j, root in enumerate(self.simple_roots):
-            for t, x in enumerate(root):
-                if x:
-                    roots_at[t].append((j, x))
+            for t in compress(coords, root):
+                roots_at[t].append((j, root[t]))
         rows = []
         for coroot in self.simple_coroots:
             row = [0] * k
-            for t, y in enumerate(coroot):
-                if y:
-                    for j, x in roots_at[t]:
-                        row[j] += x * y
+            for t in compress(coords, coroot):
+                y = coroot[t]
+                for j, x in roots_at[t]:
+                    row[j] += x * y
             rows.append(tuple(row))
         return tuple(rows)
 
     @cached_property
     def neighbours(self) -> tuple[tuple[int, ...], ...]:
         """Dynkin adjacency: for each node, the other nodes it is bonded to, ascending."""
+        nodes = range(self.semisimple_rank)
         return tuple(
-            tuple(j for j, x in enumerate(row) if x and j != i)
+            tuple(j for j in compress(nodes, row) if j != i)
             for i, row in enumerate(self.cartan)
         )
 
@@ -489,20 +491,39 @@ class BasedRootDatum:
         )
 
 
-def validate_cartan_matrix(c: IntMatrix) -> None:
-    k = len(c)
-    for i in range(k):
+def validate_cartan_matrix(c: IntMatrix, neighbours) -> None:
+    """Raise DatumError unless ``c`` passes the pairwise finite-type checks.
+
+    Only a pair with a nonzero entry on at least one side can fail, so only
+    those pairs are visited: ``neighbours[i]`` lists the columns j != i with
+    c[i][j] != 0.  The error names the first offending pair in row-major
+    order.
+    """
+    if _cartan_failure(c, neighbours) is None:
+        return
+    # the rows omit pairs (i, j) with c[i][j] == 0 != c[j][i]; add them, so
+    # that the first failing pair in row-major order is named
+    transposed: list[list[int]] = [[] for _ in c]
+    for i, cols in enumerate(neighbours):
+        for j in cols:
+            transposed[j].append(i)
+    rows = [sorted(set(cols).union(transposed[i])) for i, cols in enumerate(neighbours)]
+    raise DatumError(_cartan_failure(c, rows))
+
+
+def _cartan_failure(c: IntMatrix, rows) -> str | None:
+    """The first failing check, in row-major order, over the pairs (i, j in rows[i])."""
+    for i, cols in enumerate(rows):
         if c[i][i] != 2:
-            raise DatumError(f"Cartan diagonal entry {c[i][i]} != 2 at {i}")
-        for j in range(k):
-            if i == j:
-                continue
+            return f"Cartan diagonal entry {c[i][i]} != 2 at {i}"
+        for j in cols:
             if c[i][j] > 0:
-                raise DatumError(f"positive off-diagonal Cartan entry at {(i, j)}")
+                return f"positive off-diagonal Cartan entry at {(i, j)}"
             if (c[i][j] == 0) != (c[j][i] == 0):
-                raise DatumError(f"asymmetric zero pattern at {(i, j)}")
+                return f"asymmetric zero pattern at {(i, j)}"
             if c[i][j] * c[j][i] > 3:
-                raise DatumError(f"bond multiplicity > 3 at {(i, j)} (not finite type)")
+                return f"bond multiplicity > 3 at {(i, j)} (not finite type)"
+    return None
 
 
 def dynkin_components(datum: BasedRootDatum, indices=None) -> list[list[int]]:

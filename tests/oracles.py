@@ -206,3 +206,40 @@ def kottwitz_by_dual_datum(datum) -> tuple[tuple[int, ...], int]:
     dual = dual_datum(datum)
     torsion, free = dense_cokernel_invariants(dual.simple_roots, dual.rank)
     return tuple(torsion), free
+
+
+def validate_cartan_dense(c) -> str | None:
+    """The pairwise finite-type checks over all k^2 pairs in row-major order.
+
+    Returns the message of the first failing check, or None if all pass.
+    """
+    k = len(c)
+    for i in range(k):
+        if c[i][i] != 2:
+            return f"Cartan diagonal entry {c[i][i]} != 2 at {i}"
+        for j in range(k):
+            if i == j:
+                continue
+            if c[i][j] > 0:
+                return f"positive off-diagonal Cartan entry at {(i, j)}"
+            if (c[i][j] == 0) != (c[j][i] == 0):
+                return f"asymmetric zero pattern at {(i, j)}"
+            if c[i][j] * c[j][i] > 3:
+                return f"bond multiplicity > 3 at {(i, j)} (not finite type)"
+    return None
+
+
+def lj_by_terms(terms: dict, d: int, tag=lambda t: t) -> dict:
+    """The LJ map termwise on {(composition, labels): coefficient} dicts.
+
+    A term survives iff d divides every block; its image has the blocks
+    divided by d and each tag mapped by ``tag``.  Coefficients of equal
+    images add up, zeros are dropped, and the result is sorted by
+    (composition, labels), as an element that sorts on every build would be.
+    """
+    out: dict = {}
+    for (comp, labels), coeff in terms.items():
+        if all(block % d == 0 for block in comp):
+            key = (tuple(block // d for block in comp), tuple(tag(t) for t in labels))
+            out[key] = out.get(key, 0) + coeff
+    return dict(sorted((key, coeff) for key, coeff in out.items() if coeff))

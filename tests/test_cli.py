@@ -128,6 +128,15 @@ def test_lattice_rank_cap_is_a_usage_error(capsys, group):
     assert err.startswith("error: ") and "above the limit of 1024" in err
 
 
+def test_place_cap_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "globalize", "--prime", "5", "--places", "1000000000", "--class-order", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: 1000000000 places requested, above the limit of 4096\n"
+
+
 def test_weyl_json(capsys):
     code, payload = run_json(capsys, "weyl", "SL(3)", "--theta", "0")
     assert code == 0

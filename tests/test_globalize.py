@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from innerforms.errors import GroupSpecError, TransferError
 from innerforms.globalize import (
+    MAX_PLACES,
     HasseVector,
     PlaceLabel,
     build_cocycle,
@@ -118,6 +120,24 @@ def test_plan_places_r_matches_library():
         plan = plan_places(3, l)
         assert plan.degree == 2 ** ((l - 1).bit_length())
         assert len(plan.places) == l
+
+
+def test_place_cap_refuses_before_allocating():
+    for call in (lambda: plan_places(5, 10**9), lambda: plan_globalization(5, 10**9, 2)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupSpecError, match=f"above the limit of {MAX_PLACES}$"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+
+def test_place_cap_is_inclusive():
+    assert len(plan_places(5, MAX_PLACES).places) == MAX_PLACES
+    with pytest.raises(GroupSpecError, match=f"^{MAX_PLACES + 1} places requested"):
+        plan_places(5, MAX_PLACES + 1)
 
 
 # ---------------------------------------------------------------------------

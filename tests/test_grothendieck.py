@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+import re
 from functools import reduce
 
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from innerforms.errors import GroupSpecError, TransferError
 from innerforms.grothendieck import (
     BasisElement,
+    TensorElement,
     VirtualElement,
     character_sign,
     gl2_principal_series,
@@ -24,6 +28,7 @@ from innerforms.grothendieck import (
     tensor_lj,
     zero,
 )
+from oracles import lj_by_terms
 
 
 def elem(comp, tags, side=None):
@@ -307,3 +312,202 @@ def test_unitary_transfer_alias():
         unitary_transfer(steinberg(2) + gl2_principal_series(), 2)  # not a single term
     with pytest.raises(TransferError):
         unitary_transfer(steinberg(2).scale(2), 2)  # coefficient != 1
+
+
+# ---------------------------------------------------------------------------
+# unordered terms: the transfer against a termwise oracle, order independence
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def elements_with_degree(draw):
+    """A split element of GL_n (terms possibly repeated) and a degree d | n."""
+    n = draw(st.integers(1, 8))
+    pairs = draw(st.lists(terms(n), max_size=10))
+    return n, pairs, draw(st.sampled_from(divisors(n)))
+
+
+def element_of(pairs):
+    return reduce(lambda acc, ce: acc + VirtualElement.of(ce[1], ce[0]), pairs, zero())
+
+
+def oracle_terms(pairs):
+    out = {}
+    for c, e in pairs:
+        out[(e.composition, e.labels)] = out.get((e.composition, e.labels), 0) + c
+    return {k: v for k, v in out.items() if v}
+
+
+def listed(element):
+    """Terms in the order ``terms`` hands them out, with their sides."""
+    return [(e.side, e.composition, e.labels, c) for e, c in element.terms.items()]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(elements_with_degree())
+def test_lj_map_matches_termwise_oracle(case):
+    n, pairs, d = case
+    want = lj_by_terms(oracle_terms(pairs), d)
+    image = lj_map(element_of(pairs), d)
+    side = inner_side(n // d, d)
+    assert listed(image) == [(side, comp, labels, c) for (comp, labels), c in want.items()]
+    assert image == VirtualElement({BasisElement(side, k[0], k[1]): c for k, c in want.items()})
+
+
+PERMUTED = dict(zip(TAGS, TAGS[1:] + TAGS[:1]))  # a bijection of the tags
+
+
+def relabel(element, mapping):
+    return VirtualElement(
+        {BasisElement(e.side, e.composition, tuple(mapping[t] for t in e.labels)): c
+         for e, c in element.terms.items()}
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(elements_with_degree(), st.data())
+def test_lj_map_is_linear_and_commutes_with_tag_bijections(case, data):
+    n, pairs, d = case
+    x = element_of(pairs)
+    y = element_of(data.draw(st.lists(terms(n), max_size=10)))
+    c = data.draw(st.integers(-3, 3))
+    assert lj_map(x + y, d) == lj_map(x, d) + lj_map(y, d)
+    assert lj_map(x - y, d) == lj_map(x, d) - lj_map(y, d)
+    assert lj_map(x.scale(c), d) == lj_map(x, d).scale(c)
+    assert lj_map(-x, d) == -lj_map(x, d)
+    image = relabel(lj_map(x, d), PERMUTED)
+    assert lj_map(relabel(x, PERMUTED), d) == image
+    assert lj_map(x, d, PERMUTED) == image
+    assert lj_map(x, d, PERMUTED.__getitem__) == image
+    assert listed(lj_map(x, d, PERMUTED)) == listed(image)
+    want = lj_by_terms(oracle_terms(pairs), d, PERMUTED.__getitem__)
+    assert [(e.composition, e.labels, c) for e, c in image.terms.items()] == [
+        (comp, labels, c) for (comp, labels), c in want.items()
+    ]
+
+
+def test_lj_map_merges_terms_under_a_non_injective_tag_map():
+    x = parse_virtual("(2,2):a,b - (2,2):b,a + 2*(4):a")
+    assert lj_map(x, 2, lambda t: "t").render() == "2*(2):t"
+    assert lj_map(x, 2, {"a": "t", "b": "t"}) == VirtualElement.of(
+        BasisElement(inner_side(2, 2), (2,), ("t",)), 2
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(elements_with_degree(), elements_with_degree())
+def test_tensor_lj_equals_factorwise_lj_map(left, right):
+    (_, px, dx), (_, py, dy) = left, right
+    x, y = element_of(px), element_of(py)
+    got = tensor_lj(tensor(x, y), (dx, dy))
+    want = tensor(lj_map(x, dx), lj_map(y, dy))
+    assert got == want
+    assert hash(got) == hash(want)
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(term_lists(), st.randoms(use_true_random=False))
+def test_term_order_does_not_matter(pairs, rng):
+    shuffled = pairs[:]
+    rng.shuffle(shuffled)
+    a, b = element_of(pairs), element_of(shuffled)
+    accumulated = {}
+    for c, e in shuffled:
+        accumulated[e] = accumulated.get(e, 0) + c
+    for other in (b, VirtualElement(accumulated), parse_virtual(b.render())):
+        assert a == other
+        assert hash(a) == hash(other)
+        assert a.render() == other.render()
+        assert repr(a) == repr(other)
+        assert listed(a) == listed(other)
+    keys = [(e.composition, e.labels) for e in a.terms]
+    assert keys == sorted(keys)
+    ta, tb = tensor(a, b), tensor(b, a)
+    assert ta == tb and hash(ta) == hash(tb)
+    assert list(ta.terms.items()) == list(tb.terms.items())
+
+
+SPLIT_TERMS = [(6,), (2, 4), (3, 3), (1, 2, 3), (4, 1, 1), (5, 1), (2, 2, 2)]
+INNER_TERMS = [(3,), (1, 2), (1, 1, 1)]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_non_split_and_non_dividing_degrees_raise_unchanged_messages(count):
+    split = VirtualElement(
+        {elem(c, ["a"] * len(c)): i + 1 for i, c in enumerate(SPLIT_TERMS[: 2 * count])}
+    )
+    inner = VirtualElement(
+        {elem(c, ["t"] * len(c), inner_side(3, 2)): 1 for c in INNER_TERMS[:count]}
+    )
+    with pytest.raises(TransferError, match="^lj_map applies to split-side elements$"):
+        lj_map(inner, 2)
+    with pytest.raises(TransferError, match="^lj_map applies to split-side elements$"):
+        tensor_lj(tensor(split, inner), (1, 2))
+    for d in (4, 5, 0, -2, 7):
+        message = f"^{re.escape(f'degree {d} does not divide n = 6')}$"
+        with pytest.raises(TransferError, match=message):
+            lj_map(split, d)
+        with pytest.raises(TransferError, match=message):
+            tensor_lj(tensor(split, split), (1, d))
+    with pytest.raises(TransferError, match="^one degree per tensor factor required$"):
+        tensor_lj(tensor(split, split), (1,))
+    assert lj_map(zero(), 4) == zero()  # no term, nothing to check
+
+
+def test_basis_element_hash_and_equality():
+    side = split_side(4)
+    a = BasisElement(side, (2, 2), ("a", "b"))
+    same = BasisElement(split_side(4), (2, 2), ("a", "b"))
+    assert a == same and hash(a) == hash(same) and a is not same
+    assert a != BasisElement(side, (2, 2), ("b", "a"))
+    assert a != BasisElement(inner_side(4, 2), (2, 2), ("a", "b"))
+    assert a != ((2, 2), ("a", "b"))
+    # equal hashes are only a first check: the fields decide
+    for other in (BasisElement(side, (2, 2), ("b", "a")), BasisElement(side, (1, 3), ("a", "b")),
+                  BasisElement(inner_side(4, 2), (2, 2), ("a", "b"))):
+        object.__setattr__(other, "_hash", hash(a))
+        assert a != other and other != a
+    assert repr(a) == "BasisElement(side=GroupSide(m=4, d=1), composition=(2, 2), labels=('a', 'b'))"
+    # copies and pickles are rebuilt from the fields, so the hash is recomputed
+    for again in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert again == a and hash(again) == hash(a)
+    assert a.__reduce__() == (BasisElement, (side, (2, 2), ("a", "b")))
+
+
+def test_tensor_element_ignores_zero_coefficients_and_order():
+    keys = [(e, f) for e in (steinberg(2) + gl2_principal_series()).terms
+            for f in (steinberg(2, "u") - gl2_trivial()).terms]
+    forward = TensorElement({**{k: i + 1 for i, k in enumerate(keys)}, (): 0})
+    backward = TensorElement(dict(reversed([(k, i + 1) for i, k in enumerate(keys)])))
+    assert forward == backward and hash(forward) == hash(backward)
+    assert list(forward.terms) == list(backward.terms) == sorted(
+        keys, key=lambda k: [(e.composition, e.labels) for e in k]
+    )
+    assert TensorElement({keys[0]: 0}).is_zero()
+
+
+def test_lj_map_hashes_each_term_a_bounded_number_of_times(monkeypatch):
+    # BasisElement's hash is a plain method, so its calls can be counted
+    rng = random.Random(9)
+    comps = rng.sample(list(compositions(12)), 300)
+    element = VirtualElement({elem(c, ["t"] * len(c)): rng.randint(1, 3) for c in comps})
+    calls = []
+    original = BasisElement.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(BasisElement, "__hash__", counting)
+    for d in (1, 2, 3, 4, 6, 12):
+        calls.clear()
+        lj_map(element, d)
+        assert len(calls) <= 2 * len(comps)
+    doubled = element.scale(2)
+    calls.clear()
+    element + doubled
+    assert len(calls) <= 2 * len(comps)

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -12,6 +13,7 @@ from innerforms.rootdata import (
     FiniteAbelianGroup,
     adjoint_datum,
     build_catalog_group,
+    cartan_matrix_of,
     change_basis,
     classify,
     cokernel_invariants,
@@ -23,12 +25,14 @@ from innerforms.rootdata import (
     mat_mul,
     simply_connected_datum,
     smith_normal_form,
+    validate_cartan_matrix,
 )
 from oracles import (
     cartan_determinant_closed_form,
     cofactor_det,
     dense_cokernel_invariants,
     random_unimodular,
+    validate_cartan_dense,
 )
 
 GOLDEN_TYPES = [
@@ -120,6 +124,69 @@ def test_invalid_cartan_rejected():
     with pytest.raises(DatumError):
         # bond multiplicity 4 is affine, not finite
         BasedRootDatum(2, ((2, -2), (-2, 2)), ((1, 0), (0, 1)), "affine")
+
+
+def corrupted(series, rank, changes):
+    c = cartan_matrix_of(series, rank)
+    for (i, j), value in changes.items():
+        c[i][j] = value
+    return c
+
+
+def dense_neighbours(c):
+    return [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(c)]
+
+
+def datum_with_cartan(c):
+    """Coroots the standard basis, roots the columns: the Cartan matrix is c."""
+    k = len(c)
+    roots = tuple(tuple(c[i][j] for i in range(k)) for j in range(k))
+    coroots = tuple(tuple(int(i == j) for i in range(k)) for j in range(k))
+    return BasedRootDatum(k, roots, coroots, "corrupted")
+
+
+@pytest.mark.parametrize(
+    "series,rank,changes,message",
+    [
+        ("A", 5, {(3, 3): 1}, "Cartan diagonal entry 1 != 2 at 3"),
+        ("D", 5, {(4, 4): 0, (4, 2): 2}, "Cartan diagonal entry 0 != 2 at 4"),
+        ("A", 5, {(1, 2): 1}, "positive off-diagonal Cartan entry at (1, 2)"),
+        ("E", 6, {(5, 4): 1, (4, 5): 1}, "positive off-diagonal Cartan entry at (4, 5)"),
+        ("A", 5, {(4, 1): -1}, "asymmetric zero pattern at (1, 4)"),
+        ("B", 4, {(0, 1): 0}, "asymmetric zero pattern at (0, 1)"),
+        ("A", 4, {(2, 0): -1, (0, 3): -2}, "asymmetric zero pattern at (0, 2)"),
+        ("G", 2, {(0, 1): -4}, "bond multiplicity > 3 at (0, 1) (not finite type)"),
+        ("F", 4, {(3, 2): -4, (2, 3): -2}, "bond multiplicity > 3 at (2, 3) (not finite type)"),
+    ],
+)
+def test_corrupted_cartan_names_first_offending_pair(series, rank, changes, message):
+    c = corrupted(series, rank, changes)
+    assert validate_cartan_dense(c) == message
+    with pytest.raises(DatumError, match=f"^{re.escape(message)}$"):
+        validate_cartan_matrix(c, dense_neighbours(c))
+    with pytest.raises(DatumError, match=f"^{re.escape(message)}$"):
+        datum_with_cartan(c)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([("A", 6), ("B", 5), ("C", 4), ("D", 6), ("E", 7), ("F", 4), ("G", 2)]),
+    st.data(),
+)
+def test_sparse_cartan_validation_matches_dense_scan(spec, data):
+    c = cartan_matrix_of(*spec)
+    k = len(c)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+        c[i][j] = data.draw(st.integers(-4, 3))
+    message = validate_cartan_dense(c)
+    if message is None:
+        validate_cartan_matrix(c, dense_neighbours(c))
+        return
+    with pytest.raises(DatumError, match=f"^{re.escape(message)}$"):
+        validate_cartan_matrix(c, dense_neighbours(c))
+    with pytest.raises(DatumError, match=f"^{re.escape(message)}$"):
+        datum_with_cartan(c)
 
 
 def test_root_coroot_count_mismatch():
