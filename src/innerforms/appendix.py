@@ -23,7 +23,8 @@ from .levi import LeviDescriptor, analyze_levi, remove_indices
 from .rootdata import build_catalog_group
 from .satake import transfer_levi
 
-Sample = tuple[str, tuple[int, ...], tuple[int, ...]]  # (group expr, removed, degrees)
+GroupTag = tuple[str, tuple[int, ...]]  # (catalog tag, parameters)
+Sample = tuple[GroupTag, tuple[int, ...], tuple[int, ...]]  # (group, removed, degrees)
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class AppendixEntry:
     figure: str | None = None
     exact_expected: bool | None = None
     notes: tuple[str, ...] = ()
-    sample_group: tuple[str, tuple[int, ...]] | None = None
+    sample_group: GroupTag | None = None
     sample_removed: tuple[int, ...] | None = None
     expected_components: tuple[tuple[str, int], ...] | None = None
 
@@ -479,7 +480,7 @@ APPENDIX: tuple[AppendixEntry, ...] = (
                 condition="n odd",
                 degrees=(2, 4),
                 expected=((2, 2), (1, 4)),
-                sample=("Spin(14)", (3,), (2, 4)),
+                sample=(("Spin", (14,)), (3,), (2, 4)),
             ),
         ),
     ),
@@ -517,7 +518,7 @@ APPENDIX: tuple[AppendixEntry, ...] = (
                 condition="n odd",
                 degrees=(2, 4),
                 expected=((2, 2), (1, 4)),
-                sample=("GSpin(14)", (3,), (2, 4)),
+                sample=(("GSpin", (14,)), (3,), (2, 4)),
             ),
         ),
     ),
@@ -690,16 +691,9 @@ def appendix_catalog() -> tuple[AppendixEntry, ...]:
     return APPENDIX
 
 
-def _build_sample(entry: AppendixEntry):
-    tag, params = entry.sample_group
+def _build_group(group: GroupTag):
+    tag, params = group
     return build_catalog_group(tag, list(params))
-
-
-def _parse_sample_expr(expr: str):
-    # "Spin(14)" style used by per-variant sample overrides
-    tag, _, rest = expr.partition("(")
-    params = [int(x) for x in rest.rstrip(")").split(",")] if rest else []
-    return build_catalog_group(tag, params)
 
 
 def verify_catalog() -> tuple[list[str], list[str]]:
@@ -713,12 +707,11 @@ def verify_catalog() -> tuple[list[str], list[str]]:
     violations: list[str] = []
     flags_seen: list[str] = []
     for entry in APPENDIX:
+        group = _build_group(entry.sample_group)
         if not entry.variants:
-            group = _build_sample(entry)
             if ad_quotient_order(group) != 1:
                 violations.append(f"{entry.key}: expected |A(G^ad)| = 1")
             continue
-        group = _build_sample(entry)
         desc = LeviDescriptor(group, remove_indices(group, entry.sample_removed))
         report = analyze_levi(desc)
         if not report.condition_one:
@@ -761,7 +754,7 @@ def verify_catalog() -> tuple[list[str], list[str]]:
                         )
                 continue
             if variant.sample is not None:
-                vgroup = _parse_sample_expr(variant.sample[0])
+                vgroup = _build_group(variant.sample[0])
                 vdesc = LeviDescriptor(
                     vgroup, remove_indices(vgroup, variant.sample[1])
                 )

@@ -34,7 +34,6 @@ from .rootdata import (
     BasedRootDatum,
     build_catalog_group,
     check_lattice_rank,
-    classify,
     datum_product,
 )
 from .satake import (
@@ -290,11 +289,12 @@ def _cmd_kottwitz(args) -> int:
 
 def _cmd_inner_forms(args) -> int:
     datum = parse_group_expr(args.group)
-    dynkin = classify(datum)
-    if datum.name.startswith("GL(") and len(dynkin.components) <= 1:
-        n = datum.rank
-    else:
+    # G is GL_n exactly when theta = Delta is a sandwich Levi that is its own
+    # envelope with a single GL factor: one GL_n (n > 1) or one central GL_1
+    whole = analyze_levi(LeviDescriptor(datum, tuple(range(datum.semisimple_rank))))
+    if not whole.envelope_exact or len(whole.gl_envelope) + whole.central_gl1s != 1:
         raise GroupSpecError("inner-forms expects a GL(n) group")
+    n = datum.rank
     classes = inner_form_classes_gl(n)
     payload = {
         "command": "inner-forms",

@@ -16,8 +16,8 @@ from .rootdata import (
     BasedRootDatum,
     DynkinType,
     FiniteAbelianGroup,
-    classify_component,
     cokernel_invariants,
+    component_layout,
     dynkin_components,
 )
 
@@ -89,7 +89,7 @@ def analyze_levi(desc: LeviDescriptor) -> LeviReport:
     # the Levi's Cartan matrix is the ambient one restricted to theta, so its
     # components carry the same labels as theta's components in the ambient
     derived_type = DynkinType(
-        components=tuple(classify_component(amb, list(c)) for c in comps),
+        components=tuple(component_layout(amb, c).label for c in comps),
         torus_rank=amb.rank - len(theta),
     )
 

@@ -374,8 +374,9 @@ class BasedRootDatum:
 
     The pairing <alpha_j, alpha_i^vee> is the plain dot product; validation
     checks that it forms a classifiable Cartan matrix.  The Cartan matrix,
-    the Dynkin adjacency and type, and pi_1 are computed once per instance
-    (``cartan``, ``neighbours``, ``dynkin_type``, ``pi1``);
+    the Dynkin adjacency, the component layouts and type, and pi_1 are
+    computed once per instance (``cartan``, ``neighbours``, ``layouts``,
+    ``dynkin_type``, ``pi1``);
     ``cartan_matrix()`` and ``adjacency()`` hand out copies.
     """
 
@@ -455,10 +456,17 @@ class BasedRootDatum:
         return tuple(int(x * scale) for x in d)
 
     @cached_property
+    def layouts(self) -> tuple[ComponentLayout, ...]:
+        """Label and drawing order of each Dynkin component, in node order."""
+        return tuple(component_layout(self, comp) for comp in dynkin_components(self))
+
+    @cached_property
     def dynkin_type(self) -> DynkinType:
         """Component multiset plus central torus rank; see :func:`classify`."""
-        labels = tuple(classify_component(self, comp) for comp in dynkin_components(self))
-        return DynkinType(components=labels, torus_rank=self.rank - self.semisimple_rank)
+        return DynkinType(
+            components=tuple(layout.label for layout in self.layouts),
+            torus_rank=self.rank - self.semisimple_rank,
+        )
 
     @cached_property
     def pi1(self) -> FiniteAbelianGroup:
@@ -554,68 +562,103 @@ def dynkin_components(datum: BasedRootDatum, indices=None) -> list[list[int]]:
     return comps
 
 
-def classify_component(datum: BasedRootDatum, comp: list[int]) -> tuple[str, int]:
-    """Series/rank of one connected component (canonical labels)."""
+@dataclass(frozen=True)
+class ComponentLayout:
+    """One connected Dynkin component: its canonical label and how it is drawn.
+
+    ``chain`` is the row of nodes in drawing order.  D and E components hang
+    one more node, ``hanging``, below chain position ``attach``; for a path
+    ``hanging`` is None and ``attach`` is -1.
+    """
+
+    series: str
+    rank: int
+    chain: tuple[int, ...]
+    hanging: int | None = None
+    attach: int = -1
+
+    @property
+    def label(self) -> tuple[str, int]:
+        """(series, rank), the component's entry in a :class:`DynkinType`."""
+        return (self.series, self.rank)
+
+
+def _arm(adj: dict[int, list[int]], prev: int | None, cur: int) -> list[int]:
+    """Nodes from ``cur`` to the end of its arm, walking away from ``prev``."""
+    arm = [cur]
+    while True:
+        for nxt in adj[cur]:
+            if nxt != prev:
+                break
+        else:
+            return arm
+        prev, cur = cur, nxt
+        arm.append(cur)
+
+
+def component_layout(datum: BasedRootDatum, comp) -> ComponentLayout:
+    """Series, rank and drawing order of one connected component, from one walk.
+
+    Raises DatumError unless the component is of finite type.  A path starts
+    at its least end node.  D puts the long arm first and hangs the larger
+    short arm; E leads with the length-2 arm and hangs the length-1 arm
+    (Bourbaki, *Lie groups* ch. VI, plates I-IX).
+    """
+    comp = list(comp)
     k = len(comp)
     c = datum.cartan
     inside = set(comp)
     adj = {v: [w for w in datum.neighbours[v] if w in inside] for v in comp}
-    degrees = {v: len(adj[v]) for v in comp}
-    edges = [(v, w) for v in comp for w in adj[v] if v < w]
-    if len(edges) != k - 1:
+    bonds = [c[v][w] * c[w][v] for v in comp for w in adj[v] if v < w]
+    if len(bonds) != k - 1:
         raise DatumError(f"component {comp} is not a tree")
-    multi = [(v, w, c[v][w] * c[w][v]) for v, w in edges]
-    triple = [(v, w) for v, w, m in multi if m == 3]
-    double = [(v, w) for v, w, m in multi if m == 2]
-
-    if triple:
-        if k != 2 or double:
-            raise DatumError(f"component {comp}: triple bond outside G2")
-        return ("G", 2)
-    if double:
-        if len(double) > 1 or any(degrees[v] > 2 for v in comp):
-            raise DatumError(f"component {comp}: unclassifiable double-bond layout")
-        v, w = double[0]
-        if k == 2:
-            return ("C", 2)  # B2 = C2 as a diagram; C2 is the canonical label
-        leaf = None
-        for x in (v, w):
-            if degrees[x] == 1:
-                leaf = x
-        if leaf is None:
-            if k == 4:
-                return ("F", 4)
-            raise DatumError(f"component {comp}: interior double bond but not F4")
-        nbr = w if leaf == v else v
-        # C[leaf][nbr] == -2 means the leaf root is short (type B tail)
-        return ("B", k) if c[leaf][nbr] == -2 else ("C", k)
-
-    # simply laced
-    branch = [v for v in comp if degrees[v] == 3]
-    if any(degrees[v] > 3 for v in comp):
+    triple, double = 3 in bonds, bonds.count(2)
+    degree = max(map(len, adj.values()))
+    if triple and (k != 2 or double):
+        raise DatumError(f"component {comp}: triple bond outside G2")
+    if double and (double > 1 or degree > 2):
+        raise DatumError(f"component {comp}: unclassifiable double-bond layout")
+    if degree > 3:
         raise DatumError(f"component {comp}: node of degree > 3")
-    if not branch:
-        return ("A", k)
+    branch = [v for v in comp if len(adj[v]) == 3] if degree == 3 else []
     if len(branch) > 1:
         raise DatumError(f"component {comp}: more than one branch node")
+
+    if not branch:
+        chain = _arm(adj, None, min(v for v in comp if len(adj[v]) <= 1))
+        if triple:
+            series = "G"
+        elif not double:
+            series = "A"
+        elif k == 2:
+            series = "C"  # B2 = C2 as a diagram; C2 is the canonical label
+        else:
+            for leaf, nbr in ((chain[0], chain[1]), (chain[-1], chain[-2])):
+                if c[leaf][nbr] * c[nbr][leaf] == 2:
+                    # C[leaf][nbr] == -2 means the leaf root is short (type B tail)
+                    series = "B" if c[leaf][nbr] == -2 else "C"
+                    break
+            else:
+                if k != 4:
+                    raise DatumError(f"component {comp}: interior double bond but not F4")
+                series = "F"
+        return ComponentLayout(series, k, tuple(chain))
+
     b = branch[0]
-    arms = []
-    for start in adj[b]:
-        length = 1
-        prev, cur = b, start
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return ("A", 3) if k == 3 else ("D", k)
-    if arms[:2] == [1, 2] and arms[2] in (2, 3, 4):
-        return ("E", k)
-    raise DatumError(f"component {comp}: arms {arms} not of finite type")
+    arms = [_arm(adj, b, w) for w in adj[b]]
+    lengths = sorted(map(len, arms))
+    if lengths[:2] == [1, 1]:
+        series = "D"
+    elif lengths[:2] == [1, 2] and lengths[2] in (2, 3, 4):
+        series = "E"
+    else:
+        raise DatumError(f"component {comp}: arms {lengths} not of finite type")
+    hanging = max(arm[0] for arm in arms if len(arm) == 1)
+    # ties keep the arms in node order
+    first, second = sorted(
+        (arm for arm in arms if arm[0] != hanging), key=len, reverse=series == "D"
+    )
+    return ComponentLayout(series, k, (*reversed(first), b, *second), hanging, len(first))
 
 
 def classify(datum: BasedRootDatum) -> DynkinType:
@@ -757,34 +800,29 @@ def cartan_matrix_of(series: str, rank: int) -> IntMatrix:
 
 def simply_connected_datum(series: str, rank: int, name: str | None = None) -> BasedRootDatum:
     """Simply connected datum: coroots are the standard basis, roots the Cartan columns."""
-    c = cartan_matrix_of(series, rank)
-    roots = tuple(tuple(c[i][j] for i in range(rank)) for j in range(rank))
-    coroots = tuple(tuple(1 if i == j else 0 for i in range(rank)) for j in range(rank))
-    return BasedRootDatum(rank, roots, coroots, name or f"{series}{rank}sc")
+    columns = tuple(zip(*cartan_matrix_of(series, rank)))
+    units = tuple(_vec(rank, {j: 1}) for j in range(rank))
+    return BasedRootDatum(rank, columns, units, name or f"{series}{rank}sc")
 
 
 def adjoint_datum(series: str, rank: int, name: str | None = None) -> BasedRootDatum:
     """Adjoint datum: roots are the standard basis, coroots the Cartan rows."""
-    c = cartan_matrix_of(series, rank)
-    roots = tuple(tuple(1 if i == j else 0 for i in range(rank)) for j in range(rank))
-    coroots = tuple(tuple(c[j][i] for i in range(rank)) for j in range(rank))
-    return BasedRootDatum(rank, roots, coroots, name or f"{series}{rank}ad")
+    rows = tuple(map(tuple, cartan_matrix_of(series, rank)))
+    units = tuple(_vec(rank, {j: 1}) for j in range(rank))
+    return BasedRootDatum(rank, units, rows, name or f"{series}{rank}ad")
 
 
-def _torus(n: int, name: str) -> BasedRootDatum:
-    return BasedRootDatum(n, (), (), name)
+def _vec(n: int, entries: dict[int, int]) -> Vector:
+    """The vector of Z^n with the given nonzero coordinates {index: value}."""
+    v = [0] * n
+    for i, x in entries.items():
+        v[i] = x
+    return tuple(v)
 
 
-def _unit(n: int, i: int) -> Vector:
-    return tuple(1 if j == i else 0 for j in range(n))
-
-
-def _gl_datum(n: int, name: str) -> BasedRootDatum:
-    roots = tuple(
-        tuple((1 if j == i else -1 if j == i + 1 else 0) for j in range(n))
-        for i in range(n - 1)
-    )
-    return BasedRootDatum(n, roots, roots, name)
+def _type_a_chain(n: int, length: int) -> list[Vector]:
+    """e_i - e_{i+1} for i < length: the first ``length`` type-A simple roots in Z^n."""
+    return [_vec(n, {i: 1, i + 1: -1}) for i in range(length)]
 
 
 # lattice rank of each parametric catalog tag as a function of its parameter
@@ -830,7 +868,8 @@ def build_catalog_group(name: str, parameters: list[int]) -> BasedRootDatum:
     if tag == "GL":
         if n < 1:
             raise GroupSpecError("GL(n) requires n >= 1")
-        return _torus(1, "GL(1)") if n == 1 else _gl_datum(n, f"GL({n})")
+        roots = tuple(_type_a_chain(n, n - 1))
+        return BasedRootDatum(n, roots, roots, f"GL({n})")
     if tag == "SL":
         if n < 2:
             raise GroupSpecError("SL(n) requires n >= 2")
@@ -839,38 +878,24 @@ def build_catalog_group(name: str, parameters: list[int]) -> BasedRootDatum:
         if n < 2:
             raise GroupSpecError("PGL(n) requires n >= 2")
         return adjoint_datum("A", n - 1, f"PGL({n})")
-    if tag == "Sp":
+    # the classical families below share the chain e_i - e_{i+1} and differ
+    # only in the tail root and coroot (e_0, the similitude, is the last
+    # coordinate of GSp and GSpin)
+    if tag in ("Sp", "GSp"):
         if n < 2 or n % 2:
-            raise GroupSpecError("Sp(2n) requires an even parameter >= 2")
+            raise GroupSpecError(f"{tag}(2n) requires an even parameter >= 2")
         half = n // 2
-        rank = half
-        roots = [
-            tuple((1 if j == i else -1 if j == i + 1 else 0) for j in range(rank))
-            for i in range(rank - 1)
-        ]
-        roots.append(tuple(2 if j == rank - 1 else 0 for j in range(rank)))
-        coroots = [
-            tuple((1 if j == i else -1 if j == i + 1 else 0) for j in range(rank))
-            for i in range(rank - 1)
-        ]
-        coroots.append(_unit(rank, rank - 1))
-        return BasedRootDatum(rank, tuple(roots), tuple(coroots), f"Sp({n})")
-    if tag == "GSp":
-        if n < 2 or n % 2:
-            raise GroupSpecError("GSp(2n) requires an even parameter >= 2")
-        half = n // 2
-        rank = half + 1  # coordinates e_1..e_n, e_0 (similitude) last
-        roots = [
-            tuple((1 if j == i else -1 if j == i + 1 else 0) for j in range(rank))
-            for i in range(half - 1)
-        ]
-        roots.append(tuple(2 if j == half - 1 else (-1 if j == half else 0) for j in range(rank)))
-        coroots = [
-            tuple((1 if j == i else -1 if j == i + 1 else 0) for j in range(rank))
-            for i in range(half - 1)
-        ]
-        coroots.append(_unit(rank, half - 1))
-        return BasedRootDatum(rank, tuple(roots), tuple(coroots), f"GSp({n})")
+        if tag == "Sp":
+            rank, root_tail = half, {half - 1: 2}
+        else:
+            rank, root_tail = half + 1, {half - 1: 2, half: -1}
+        chain = _type_a_chain(rank, half - 1)
+        return BasedRootDatum(
+            rank,
+            (*chain, _vec(rank, root_tail)),
+            (*chain, _vec(rank, {half - 1: 1})),
+            f"{tag}({n})",
+        )
     if tag == "Spin":
         if n < 3:
             raise GroupSpecError("Spin(m) requires m >= 3")
@@ -888,52 +913,26 @@ def build_catalog_group(name: str, parameters: list[int]) -> BasedRootDatum:
     if tag == "GSpin":
         if n < 3:
             raise GroupSpecError("GSpin(m) requires m >= 3")
-        if n % 2:
-            half = (n - 1) // 2
-            rank = half + 1
-            roots = [
-                tuple((1 if j == i else -1 if j == i + 1 else 0) for j in range(rank))
-                for i in range(half - 1)
-            ]
-            roots.append(_unit(rank, half - 1))
-            coroots = [
-                tuple((1 if j == i else -1 if j == i + 1 else 0) for j in range(rank))
-                for i in range(half - 1)
-            ]
-            coroots.append(
-                tuple(2 if j == half - 1 else (-1 if j == half else 0) for j in range(rank))
-            )
-            return BasedRootDatum(rank, tuple(roots), tuple(coroots), f"GSpin({n})")
         half = n // 2
-        if half < 2:
-            raise GroupSpecError("GSpin(2n) requires n >= 2")
+        if n % 2:
+            root_tail, coroot_tail = {half - 1: 1}, {half - 1: 2, half: -1}
+        else:
+            root_tail = {half - 2: 1, half - 1: 1}
+            coroot_tail = {half - 2: 1, half - 1: 1, half: -1}
         rank = half + 1
-        roots = [
-            tuple((1 if j == i else -1 if j == i + 1 else 0) for j in range(rank))
-            for i in range(half - 1)
-        ]
-        roots.append(
-            tuple(1 if j in (half - 2, half - 1) else 0 for j in range(rank))
+        chain = _type_a_chain(rank, half - 1)
+        return BasedRootDatum(
+            rank,
+            (*chain, _vec(rank, root_tail)),
+            (*chain, _vec(rank, coroot_tail)),
+            f"GSpin({n})",
         )
-        coroots = [
-            tuple((1 if j == i else -1 if j == i + 1 else 0) for j in range(rank))
-            for i in range(half - 1)
-        ]
-        coroots.append(
-            tuple(1 if j in (half - 2, half - 1) else (-1 if j == half else 0) for j in range(rank))
-        )
-        return BasedRootDatum(rank, tuple(roots), tuple(coroots), f"GSpin({n})")
     if tag == "SO":
         if n < 4 or n % 2:
             raise GroupSpecError("SO(2n) requires an even parameter >= 4")
-        half = n // 2
-        rank = half
-        roots = [
-            tuple((1 if j == i else -1 if j == i + 1 else 0) for j in range(rank))
-            for i in range(rank - 1)
-        ]
-        roots.append(tuple(1 if j in (rank - 2, rank - 1) else 0 for j in range(rank)))
-        return BasedRootDatum(rank, tuple(roots), tuple(roots), f"SO({n})")
+        rank = n // 2
+        roots = (*_type_a_chain(rank, rank - 1), _vec(rank, {rank - 2: 1, rank - 1: 1}))
+        return BasedRootDatum(rank, roots, roots, f"SO({n})")
 
     raise GroupSpecError(
         f"unknown catalog tag {tag!r}; known tags: GL, SL, PGL, Sp, GSp, Spin, "

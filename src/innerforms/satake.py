@@ -18,9 +18,7 @@ from .levi import LeviDescriptor, LeviReport, levi_datum
 from .rootdata import (
     BasedRootDatum,
     build_catalog_group,
-    classify_component,
     datum_product,
-    dynkin_components,
     simply_connected_datum,
 )
 
@@ -174,40 +172,21 @@ def shares_derived_type_with_envelope(report: LeviReport) -> bool:
     return envelope_derived == report.derived_type.components
 
 
-def _chain_order(datum: BasedRootDatum, comp: list[int]) -> list[int]:
-    """Path order of an A-component, starting from its least endpoint."""
-    adj = datum.neighbours
-    inside = set(comp)
-    ends = [v for v in comp if len([w for w in adj[v] if w in inside]) <= 1]
-    start = min(ends)
-    order = [start]
-    prev = None
-    cur = start
-    while len(order) < len(comp):
-        nxt = [w for w in adj[cur] if w in inside and w != prev]
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-    return order
-
-
 def levi_satake_diagram(desc: LeviDescriptor, division_degrees) -> SatakeDiagram:
     """Satake diagram of the Levi's inner form: period-d_i black runs per factor."""
     sub = levi_datum(desc)
-    comps = dynkin_components(sub)
+    layouts = sub.layouts
     degrees = tuple(int(d) for d in division_degrees)
-    if len(degrees) != len(comps):
+    if len(degrees) != len(layouts):
         raise TransferError(
-            f"expected {len(comps)} degrees (one per component), got {len(degrees)}"
+            f"expected {len(layouts)} degrees (one per component), got {len(degrees)}"
         )
     black: set[int] = set()
-    for comp, d in zip(comps, degrees):
-        series, rank = classify_component(sub, comp)
-        if series != "A":
+    for layout, d in zip(layouts, degrees):
+        if layout.series != "A":
             raise TransferError("period patterns only exist on type-A components")
-        n = rank + 1
-        white = set(type_a_white_positions(n, d))
-        order = _chain_order(sub, comp)
-        for pos, node in enumerate(order, start=1):
+        white = set(type_a_white_positions(layout.rank + 1, d))
+        for pos, node in enumerate(layout.chain, start=1):
             if pos not in white:
                 black.add(node)
     return SatakeDiagram(base=sub, black=frozenset(black))
@@ -244,53 +223,6 @@ def _use_unicode(unicode: bool | None) -> bool:
     return not os.environ.get(ASCII_ENV_VAR)
 
 
-def _component_layout(datum: BasedRootDatum, comp: list[int]) -> tuple[list[int], int | None, int]:
-    """(chain order, hanging node, attach position in the chain)."""
-    adj = datum.neighbours
-    inside = set(comp)
-    local_adj = {v: [w for w in adj[v] if w in inside] for v in comp}
-    branch = [v for v in comp if len(local_adj[v]) == 3]
-    if not branch:
-        # path: orient with the lex-min endpoint first
-        if len(comp) == 1:
-            return [comp[0]], None, -1
-        ends = [v for v in comp if len(local_adj[v]) == 1]
-        start = min(ends)
-        order = [start]
-        prev, cur = None, start
-        while len(order) < len(comp):
-            nxt = [w for w in local_adj[cur] if w != prev]
-            prev, cur = cur, nxt[0]
-            order.append(cur)
-        return order, None, -1
-    b = branch[0]
-    arms = []
-    for nbr in local_adj[b]:
-        arm = [nbr]
-        prev, cur = b, nbr
-        while True:
-            nxt = [w for w in local_adj[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            arm.append(cur)
-        arms.append(arm)
-    short = [a for a in arms if len(a) == 1]
-    if len(short) >= 2:
-        hanging = max(a[0] for a in short)  # D-type: larger index hangs
-    else:
-        hanging = short[0][0]  # E-type
-    rest = [a for a in arms if not (len(a) == 1 and a[0] == hanging)]
-    # D-pictures put the fork at the right end (long arm first); E-pictures
-    # lead with the length-2 arm, matching the usual Bourbaki figures.
-    d_like = min(len(a) for a in rest) == 1
-    rest.sort(key=len, reverse=d_like)
-    first, second = rest[0], rest[1]
-    chain = list(reversed(first)) + [b] + second
-    attach = len(first)
-    return chain, hanging, attach
-
-
 def render_ascii(diagram: SatakeDiagram, unicode: bool | None = None) -> str:
     """Deterministic text rendering; components are blocks separated by blank lines.
 
@@ -303,8 +235,8 @@ def render_ascii(diagram: SatakeDiagram, unicode: bool | None = None) -> str:
     datum = diagram.base
     cartan = datum.cartan
     blocks = []
-    for comp in dynkin_components(datum):
-        chain, hanging, attach = _component_layout(datum, comp)
+    for layout in datum.layouts:
+        chain = layout.chain
         line = ""
         cols = []
         for idx, node in enumerate(chain):
@@ -319,11 +251,11 @@ def render_ascii(diagram: SatakeDiagram, unicode: bool | None = None) -> str:
                     # C[a][b] == -mult means a is the short root
                     side = "left" if cartan[node][nxt] == -mult else "right"
                     line += g[(mult, side)]
-        if hanging is None:
+        if layout.hanging is None:
             blocks.append(line)
         else:
-            pad = " " * cols[attach]
-            sym = g["black"] if hanging in diagram.black else g["white"]
+            pad = " " * cols[layout.attach]
+            sym = g["black"] if layout.hanging in diagram.black else g["white"]
             blocks.append("\n".join([line, pad + "|", pad + sym]))
     return "\n\n".join(blocks)
 

@@ -173,6 +173,33 @@ def test_inner_forms(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "group,n",
+    [("GL(1)", 1), ("GL(2)", 2), ("GL(9)", 9), ("GL(17)", 17),
+     # GSp_2 and GSpin_3 are both isomorphic to GL_2
+     ("GSp(2)", 2), ("GSpin(3)", 2)],
+)
+def test_inner_forms_accepts_groups_isomorphic_to_gl_n(capsys, group, n):
+    code, payload = run_json(capsys, "inner-forms", group)
+    assert code == 0
+    assert payload["n"] == n
+    assert len(payload["classes"]) == n
+    code, out, err = run(capsys, "inner-forms", group)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"inner forms of GL_{n}: {n} classes\n")
+
+
+@pytest.mark.parametrize(
+    "group",
+    ["GL(2)xGL(1)", "GL(1)xSL(2)", "SL(2)xGL(1)", "GL(1)xGL(1)", "SL(3)", "PGL(2)",
+     "Sp(4)", "GSp(4)"],
+)
+def test_inner_forms_rejects_groups_other_than_gl_n(capsys, group):
+    code, out, err = run(capsys, "inner-forms", group)
+    assert (code, out) == (2, "")
+    assert err == "error: inner-forms expects a GL(n) group\n"
+
+
 def test_globalize(capsys):
     code, payload = run_json(
         capsys, "globalize", "--prime", "5", "--places", "3", "--class-order", "2"

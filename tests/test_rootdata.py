@@ -10,6 +10,7 @@ from innerforms.errors import DatumError, GroupSpecError
 from innerforms.rootdata import (
     MAX_LATTICE_RANK,
     BasedRootDatum,
+    ComponentLayout,
     FiniteAbelianGroup,
     adjoint_datum,
     build_catalog_group,
@@ -187,6 +188,118 @@ def test_sparse_cartan_validation_matches_dense_scan(spec, data):
         validate_cartan_matrix(c, dense_neighbours(c))
     with pytest.raises(DatumError, match=f"^{re.escape(message)}$"):
         datum_with_cartan(c)
+
+
+def cartan_from_bonds(k, bonds):
+    """k x k Cartan matrix with 2 on the diagonal and bonds {(i, j): (c_ij, c_ji)}."""
+    c = [[2 if i == j else 0 for j in range(k)] for i in range(k)]
+    for (i, j), (cij, cji) in bonds.items():
+        c[i][j], c[j][i] = cij, cji
+    return c
+
+
+SIMPLE = (-1, -1)
+DOUBLE = (-2, -1)
+TRIPLE = (-3, -1)
+
+
+# Each matrix passes the pairwise checks (diagonal 2, non-positive
+# off-diagonal entries, symmetric zero pattern, bonds of multiplicity <= 3),
+# so only the classification of the connected component can reject it.
+@pytest.mark.parametrize(
+    "k,bonds,message",
+    [
+        (3, {(0, 1): SIMPLE, (1, 2): SIMPLE, (0, 2): SIMPLE},
+         "component [0, 1, 2] is not a tree"),
+        (5, {(0, 1): SIMPLE, (0, 2): SIMPLE, (0, 3): SIMPLE, (0, 4): SIMPLE},
+         "component [0, 1, 2, 3, 4]: node of degree > 3"),
+        (6, {(0, 2): SIMPLE, (1, 2): SIMPLE, (2, 3): SIMPLE, (3, 4): SIMPLE, (3, 5): SIMPLE},
+         "component [0, 1, 2, 3, 4, 5]: more than one branch node"),
+        (3, {(0, 1): TRIPLE, (1, 2): SIMPLE},
+         "component [0, 1, 2]: triple bond outside G2"),
+        (4, {(0, 1): DOUBLE, (1, 2): SIMPLE, (2, 3): (-1, -2)},
+         "component [0, 1, 2, 3]: unclassifiable double-bond layout"),
+        (5, {(0, 2): SIMPLE, (1, 2): SIMPLE, (2, 3): SIMPLE, (3, 4): DOUBLE},
+         "component [0, 1, 2, 3, 4]: unclassifiable double-bond layout"),
+        (5, {(0, 1): SIMPLE, (1, 2): DOUBLE, (2, 3): SIMPLE, (3, 4): SIMPLE},
+         "component [0, 1, 2, 3, 4]: interior double bond but not F4"),
+        (8, {(0, 1): SIMPLE, (0, 2): SIMPLE, (2, 3): SIMPLE, (3, 4): SIMPLE,
+             (0, 5): SIMPLE, (5, 6): SIMPLE, (6, 7): SIMPLE},
+         "component [0, 1, 2, 3, 4, 5, 6, 7]: arms [1, 3, 3] not of finite type"),
+        (7, {(0, 1): SIMPLE, (1, 2): SIMPLE, (0, 3): SIMPLE, (3, 4): SIMPLE,
+             (0, 5): SIMPLE, (5, 6): SIMPLE},
+         "component [0, 1, 2, 3, 4, 5, 6]: arms [2, 2, 2] not of finite type"),
+        (9, {(0, 1): SIMPLE, (0, 2): SIMPLE, (2, 3): SIMPLE, (0, 4): SIMPLE,
+             (4, 5): SIMPLE, (5, 6): SIMPLE, (6, 7): SIMPLE, (7, 8): SIMPLE},
+         "component [0, 1, 2, 3, 4, 5, 6, 7, 8]: arms [1, 2, 5] not of finite type"),
+    ],
+)
+def test_non_finite_components_rejected_by_classification(k, bonds, message):
+    c = cartan_from_bonds(k, bonds)
+    assert validate_cartan_dense(c) is None
+    with pytest.raises(DatumError, match=f"^{re.escape(message)}$"):
+        datum_with_cartan(c)
+
+
+@pytest.mark.parametrize(
+    "tag,params,layouts",
+    [
+        ("GL", [1], ()),
+        ("SL", [2], (ComponentLayout("A", 1, (0,)),)),
+        ("Sp", [8], (ComponentLayout("C", 4, (0, 1, 2, 3)),)),
+        ("Spin", [9], (ComponentLayout("B", 4, (0, 1, 2, 3)),)),
+        ("F4", [], (ComponentLayout("F", 4, (0, 1, 2, 3)),)),
+        ("G2", [], (ComponentLayout("G", 2, (0, 1)),)),
+        ("Spin", [4], (ComponentLayout("A", 1, (0,)), ComponentLayout("A", 1, (1,)))),
+        ("Spin", [8], (ComponentLayout("D", 4, (0, 1, 2), 3, 1),)),
+        ("Spin", [12], (ComponentLayout("D", 6, (0, 1, 2, 3, 4), 5, 3),)),
+        # Bourbaki: chain alpha_1, alpha_3, alpha_4, ...; alpha_2 hangs below alpha_4
+        ("E6sc", [], (ComponentLayout("E", 6, (0, 2, 3, 4, 5), 1, 2),)),
+        ("E7sc", [], (ComponentLayout("E", 7, (0, 2, 3, 4, 5, 6), 1, 2),)),
+        ("E8", [], (ComponentLayout("E", 8, (0, 2, 3, 4, 5, 6, 7), 1, 2),)),
+    ],
+)
+def test_catalog_component_layouts(tag, params, layouts):
+    datum = build_catalog_group(tag, params)
+    assert datum.layouts == layouts
+    assert tuple(layout.label for layout in layouts) == datum.dynkin_type.components
+
+
+@pytest.mark.parametrize(
+    "series,rank,layout",
+    [
+        # numbered backwards, the fork nodes of D5 are 0 and 1: 1 hangs
+        ("D", 5, ComponentLayout("D", 5, (4, 3, 2, 0), 1, 2)),
+        # E6 backwards: alpha_2 is node 4; the two length-2 arms tie, so the
+        # one through the smaller neighbour of the branch node comes first
+        ("E", 6, ComponentLayout("E", 6, (0, 1, 2, 3, 5), 4, 2)),
+        ("B", 4, ComponentLayout("B", 4, (0, 1, 2, 3))),
+        ("A", 5, ComponentLayout("A", 5, (0, 1, 2, 3, 4))),
+    ],
+)
+def test_layout_of_backwards_numbered_diagram(series, rank, layout):
+    c = cartan_matrix_of(series, rank)
+    assert datum_with_cartan([row[::-1] for row in c[::-1]]).layouts == (layout,)
+
+
+@pytest.mark.parametrize(
+    "tag,series,ladder",
+    [
+        ("GL", "A", range(2, 42)),
+        ("Sp", "C", range(4, 82, 2)),
+        ("GSp", "C", range(4, 82, 2)),
+        ("GSpin", "B", range(5, 82, 2)),
+        ("GSpin", "D", range(8, 82, 2)),
+        ("SO", "D", range(8, 82, 2)),
+    ],
+)
+def test_classical_constructors_realize_bourbaki_cartan(tag, series, ladder):
+    # the chain e_i - e_{i+1} plus each family's tail gives the Bourbaki
+    # Cartan matrix in Bourbaki order, at every rank up to 40
+    for n in ladder:
+        rank = n - 1 if tag == "GL" else n // 2
+        datum = build_catalog_group(tag, [n])
+        assert datum.cartan_matrix() == cartan_matrix_of(series, rank), (tag, n)
 
 
 def test_root_coroot_count_mismatch():

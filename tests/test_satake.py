@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from innerforms.appendix import (
     appendix_catalog,
@@ -9,8 +11,8 @@ from innerforms.appendix import (
     verify_catalog,
 )
 from innerforms.errors import TransferError
-from innerforms.levi import LeviDescriptor, analyze_levi, remove_indices
-from innerforms.rootdata import build_catalog_group
+from innerforms.levi import LeviDescriptor, analyze_levi, levi_datum, remove_indices
+from innerforms.rootdata import build_catalog_group, datum_product, dynkin_components
 from innerforms.satake import (
     SatakeDiagram,
     canonical_diagram,
@@ -102,6 +104,66 @@ def test_render_parse_round_trip_random():
             text = render_ascii(diagram, unicode=unicode)
             assert parse_ascii(text) == diagram, (comps, text)
         done += 1
+
+
+# catalog groups of semisimple rank <= 16, the exceptional groups and
+# (in the test) products of two of them
+LEVI_LADDER = (
+    [("GL", (n,)) for n in range(1, 18)]
+    + [(tag, (n,)) for tag in ("SL", "PGL") for n in range(2, 18)]
+    + [(tag, (n,)) for tag in ("Sp", "GSp") for n in range(2, 33, 2)]
+    + [(tag, (n,)) for tag in ("Spin", "GSpin") for n in range(3, 34)]
+    + [("SO", (n,)) for n in range(4, 33, 2)]
+    + [(tag, ()) for tag in ("E6sc", "E7sc", "E8", "F4", "G2")]
+)
+
+
+def ladder_datum(factors):
+    data = [build_catalog_group(tag, list(params)) for tag, params in factors]
+    return data[0] if len(data) == 1 else datum_product(data)
+
+
+def subset_of(n):
+    return st.sets(st.sampled_from(range(n))) if n else st.just(set())
+
+
+def labels(datum):
+    return [layout.label for layout in datum.layouts]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(LEVI_LADDER), min_size=1, max_size=2), st.data())
+def test_levi_diagrams_render_and_parse_to_their_derived_type(factors, data):
+    datum = ladder_datum(factors)
+    desc = LeviDescriptor(datum, tuple(data.draw(subset_of(datum.semisimple_rank))))
+    report = analyze_levi(desc)
+    sub = levi_datum(desc)
+
+    # any black set: the picture parses back to theta's components, in node
+    # order, and keeps its black count
+    black = frozenset(data.draw(subset_of(len(desc.theta))))
+    parsed = parse_ascii(render_ascii(SatakeDiagram(sub, black)))
+    assert labels(parsed.base) == labels(sub)
+    assert tuple(sorted(labels(sub))) == report.derived_type.components
+    assert len(parsed.black) == len(black)
+
+    # every type-A chain starts at its least end node
+    for layout, comp in zip(sub.layouts, dynkin_components(sub)):
+        if layout.series == "A":
+            ends = [v for v in comp if len(set(sub.neighbours[v]) & set(comp)) <= 1]
+            assert layout.chain[0] == min(ends)
+
+    # the period-d patterns on theta's type-A components
+    a_theta = [desc.theta[v] for lay in sub.layouts if lay.series == "A" for v in lay.chain]
+    a_desc = LeviDescriptor(datum, tuple(a_theta))
+    sizes = [len(c) + 1 for c in analyze_levi(a_desc).components]
+    degrees = [data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+               for n in sizes]
+    diagram = levi_satake_diagram(a_desc, degrees)
+    assert parse_ascii(render_ascii(diagram)) == canonical_diagram(
+        [("A", n - 1, [i for i in range(n - 1) if (i + 1) % d]) for n, d in zip(sizes, degrees)]
+    )
+    assert len(diagram.black) == sum(n - n // d for n, d in zip(sizes, degrees))
 
 
 # ---------------------------------------------------------------------------
