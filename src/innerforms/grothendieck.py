@@ -301,23 +301,6 @@ def lj_map(element: VirtualElement, d: int, label_transfer=None) -> VirtualEleme
     return VirtualElement(merged)
 
 
-def unitary_transfer(element: VirtualElement, d: int, label_transfer=None) -> BasisElement:
-    """The transfer restricted to a single transferable basis term.
-
-    Alias of ``lj_map`` on its unitary domain: the input must be one basis
-    element with coefficient 1 whose composition transfers; the image is the
-    corresponding inner basis element.  Raises TransferError otherwise.
-    """
-    terms = element._terms
-    if len(terms) != 1 or set(terms.values()) != {1}:
-        raise TransferError("unitary transfer applies to a single basis term")
-    (source,) = terms
-    target = _term_transfer(d, label_transfer)(source)
-    if target is None:
-        raise TransferError("term is not transferable (its Levi has no counterpart)")
-    return target
-
-
 def character_sign(n: int, m: int) -> int:
     """The sign (-1)^(n-m) relating character values across the transfer."""
     if n < 1 or m < 1 or n % m:

@@ -85,11 +85,12 @@ def analyze_levi(desc: LeviDescriptor) -> LeviReport:
     """
     amb = desc.ambient
     theta = desc.theta
-    comps = tuple(tuple(c) for c in dynkin_components(amb, theta))
+    cartan, neighbours = amb.cartan, amb.neighbours
+    comps = tuple(tuple(c) for c in dynkin_components(neighbours, theta))
     # the Levi's Cartan matrix is the ambient one restricted to theta, so its
     # components carry the same labels as theta's components in the ambient
     derived_type = DynkinType(
-        components=tuple(component_layout(amb, c).label for c in comps),
+        components=tuple(component_layout(cartan, neighbours, c).label for c in comps),
         torus_rank=amb.rank - len(theta),
     )
 

@@ -429,12 +429,8 @@ class BasedRootDatum:
 
     @cached_property
     def neighbours(self) -> tuple[tuple[int, ...], ...]:
-        """Dynkin adjacency: for each node, the other nodes it is bonded to, ascending."""
-        nodes = range(self.semisimple_rank)
-        return tuple(
-            tuple(j for j in compress(nodes, row) if j != i)
-            for i, row in enumerate(self.cartan)
-        )
+        """Dynkin adjacency of ``cartan``; see :func:`cartan_neighbours`."""
+        return cartan_neighbours(self.cartan)
 
     @cached_property
     def symmetrizer(self) -> tuple[int, ...]:
@@ -458,7 +454,10 @@ class BasedRootDatum:
     @cached_property
     def layouts(self) -> tuple[ComponentLayout, ...]:
         """Label and drawing order of each Dynkin component, in node order."""
-        return tuple(component_layout(self, comp) for comp in dynkin_components(self))
+        cartan, neighbours = self.cartan, self.neighbours
+        return tuple(
+            component_layout(cartan, neighbours, comp) for comp in dynkin_components(neighbours)
+        )
 
     @cached_property
     def dynkin_type(self) -> DynkinType:
@@ -534,15 +533,23 @@ def _cartan_failure(c: IntMatrix, rows) -> str | None:
     return None
 
 
-def dynkin_components(datum: BasedRootDatum, indices=None) -> list[list[int]]:
+def cartan_neighbours(cartan) -> tuple[tuple[int, ...], ...]:
+    """Dynkin adjacency: for each node, the other nodes it is bonded to, ascending."""
+    nodes = range(len(cartan))
+    return tuple(
+        tuple(j for j in compress(nodes, row) if j != i) for i, row in enumerate(cartan)
+    )
+
+
+def dynkin_components(neighbours, indices=None) -> list[list[int]]:
     """Connected components of the Dynkin graph on the given node subset.
 
-    Components are returned in ambient node order (sorted by least node).
+    ``neighbours`` is the adjacency of :func:`cartan_neighbours`.  Components
+    are returned in ambient node order (sorted by least node).
     """
     if indices is None:
-        indices = range(datum.semisimple_rank)
+        indices = range(len(neighbours))
     nodes = set(indices)
-    adj = datum.neighbours
     seen: set[int] = set()
     comps: list[list[int]] = []
     for start in sorted(nodes):
@@ -554,7 +561,7 @@ def dynkin_components(datum: BasedRootDatum, indices=None) -> list[list[int]]:
         while stack:
             x = stack.pop()
             comp.append(x)
-            for y in adj[x]:
+            for y in neighbours[x]:
                 if y in nodes and y not in seen:
                     seen.add(y)
                     stack.append(y)
@@ -596,20 +603,26 @@ def _arm(adj: dict[int, list[int]], prev: int | None, cur: int) -> list[int]:
         arm.append(cur)
 
 
-def component_layout(datum: BasedRootDatum, comp) -> ComponentLayout:
+def component_layout(cartan, neighbours, comp) -> ComponentLayout:
     """Series, rank and drawing order of one connected component, from one walk.
 
-    Raises DatumError unless the component is of finite type.  A path starts
-    at its least end node.  D puts the long arm first and hangs the larger
-    short arm; E leads with the length-2 arm and hangs the length-1 arm
-    (Bourbaki, *Lie groups* ch. VI, plates I-IX).
+    Reads only the Cartan matrix C[i][j] = <alpha_j, alpha_i^vee> and its
+    adjacency (:func:`cartan_neighbours`), so root data, Levis, rank-one
+    subsystems and parsed pictures share it.  Raises DatumError unless the
+    component is of finite type.  A path starts at its least end node.  D
+    puts the long arm first and hangs the larger short arm; E leads with the
+    length-2 arm and hangs the length-1 arm (Bourbaki, *Lie groups* ch. VI,
+    plates I-IX).
+
+    >>> g2 = ((2, -3), (-1, 2))
+    >>> component_layout(g2, cartan_neighbours(g2), [0, 1])
+    ComponentLayout(series='G', rank=2, chain=(0, 1), hanging=None, attach=-1)
     """
     comp = list(comp)
     k = len(comp)
-    c = datum.cartan
     inside = set(comp)
-    adj = {v: [w for w in datum.neighbours[v] if w in inside] for v in comp}
-    bonds = [c[v][w] * c[w][v] for v in comp for w in adj[v] if v < w]
+    adj = {v: [w for w in neighbours[v] if w in inside] for v in comp}
+    bonds = [cartan[v][w] * cartan[w][v] for v in comp for w in adj[v] if v < w]
     if len(bonds) != k - 1:
         raise DatumError(f"component {comp} is not a tree")
     triple, double = 3 in bonds, bonds.count(2)
@@ -634,9 +647,9 @@ def component_layout(datum: BasedRootDatum, comp) -> ComponentLayout:
             series = "C"  # B2 = C2 as a diagram; C2 is the canonical label
         else:
             for leaf, nbr in ((chain[0], chain[1]), (chain[-1], chain[-2])):
-                if c[leaf][nbr] * c[nbr][leaf] == 2:
+                if cartan[leaf][nbr] * cartan[nbr][leaf] == 2:
                     # C[leaf][nbr] == -2 means the leaf root is short (type B tail)
-                    series = "B" if c[leaf][nbr] == -2 else "C"
+                    series = "B" if cartan[leaf][nbr] == -2 else "C"
                     break
             else:
                 if k != 4:

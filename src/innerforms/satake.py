@@ -17,7 +17,11 @@ from .errors import DatumError, TransferError
 from .levi import LeviDescriptor, LeviReport, levi_datum
 from .rootdata import (
     BasedRootDatum,
+    ComponentLayout,
+    IntMatrix,
     build_catalog_group,
+    cartan_neighbours,
+    component_layout,
     datum_product,
     simply_connected_datum,
 )
@@ -78,11 +82,11 @@ class InnerFormShape:
 # type-A periodic patterns
 
 
-def type_a_white_positions(n: int, d: int) -> list[int]:
-    """1-based white positions d, 2d, ..., n-d on the A_{n-1} chain."""
+def type_a_black_positions(n: int, d: int) -> list[int]:
+    """0-based black positions on the A_{n-1} chain: all but d, 2d, ..., n-d (1-based)."""
     if n < 1 or d < 1 or n % d != 0:
         raise TransferError(f"no inner-form diagram: {d} does not divide {n}")
-    return list(range(d, n, d))
+    return [i for i in range(n - 1) if (i + 1) % d]
 
 
 def type_a_satake(n: int, d: int) -> SatakeDiagram:
@@ -93,20 +97,16 @@ def type_a_satake(n: int, d: int) -> SatakeDiagram:
     d = n the form anisotropic modulo the center (all-black).
     """
     base = build_catalog_group("GL", [n])
-    white = set(type_a_white_positions(n, d))
-    black = frozenset(i for i in range(n - 1) if (i + 1) not in white)
-    return SatakeDiagram(base=base, black=black)
+    return SatakeDiagram(base=base, black=frozenset(type_a_black_positions(n, d)))
 
 
 def validate_type_a_period(diagram: SatakeDiagram, d: int) -> bool:
     """Check the black set is the period-d pattern on a single A-chain."""
     n = diagram.base.semisimple_rank + 1
     try:
-        white = set(type_a_white_positions(n, d))
+        return set(diagram.black) == set(type_a_black_positions(n, d))
     except TransferError:
         return False
-    expected = {i for i in range(n - 1) if (i + 1) not in white}
-    return set(diagram.black) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +153,6 @@ def transfer_levi(report: LeviReport, division_degrees) -> InnerFormShape:
     return InnerFormShape(factors=tuple(factors), field_note=note)
 
 
-def forget_division_algebras(shape: InnerFormShape) -> tuple[int, ...]:
-    """Envelope sizes recovered by setting every d_i = 1."""
-    return tuple(f.n for f in shape.factors)
-
-
 def shares_derived_type_with_envelope(report: LeviReport) -> bool:
     """Structural fact behind normalization-constant invariance.
 
@@ -185,10 +180,7 @@ def levi_satake_diagram(desc: LeviDescriptor, division_degrees) -> SatakeDiagram
     for layout, d in zip(layouts, degrees):
         if layout.series != "A":
             raise TransferError("period patterns only exist on type-A components")
-        white = set(type_a_white_positions(layout.rank + 1, d))
-        for pos, node in enumerate(layout.chain, start=1):
-            if pos not in white:
-                black.add(node)
+        black.update(layout.chain[i] for i in type_a_black_positions(layout.rank + 1, d))
     return SatakeDiagram(base=sub, black=frozenset(black))
 
 
@@ -328,12 +320,15 @@ def _tokenize_chain(line: str) -> tuple[list[bool], list[tuple[int, str]], list[
     return colors, edges, cols
 
 
-def _parse_component(block: str) -> tuple[str, int, list[int]]:
-    """One component block -> (series, rank, black positions in canonical order)."""
+def _read_block(block: str) -> tuple[ComponentLayout, IntMatrix, list[bool]]:
+    """One component block -> its walker layout, Cartan matrix and node colors.
+
+    Chain nodes are numbered left to right and the hanging node last; an
+    arrow points at the short root.
+    """
     lines = block.split("\n")
     colors, edges, cols = _tokenize_chain(lines[0])
-    hanging_color = None
-    attach_idx = None
+    bonds = [(i, i + 1, mult, direction) for i, (mult, direction) in enumerate(edges)]
     if len(lines) > 1:
         if len(lines) != 3 or lines[1].strip() != "|":
             raise DatumError(f"malformed branch block: {block!r}")
@@ -343,74 +338,18 @@ def _parse_component(block: str) -> tuple[str, int, list[int]]:
             raise DatumError(f"bad hanging vertex {sym!r}")
         if lines[2].index(sym) != bar_col or bar_col not in cols:
             raise DatumError(f"branch not aligned under a chain vertex: {block!r}")
-        hanging_color = sym in ("●", "*")
-        attach_idx = cols.index(bar_col)
+        attach = cols.index(bar_col)
+        if attach in (0, len(cols) - 1):
+            raise DatumError(f"branch at a chain end: {block!r}")
+        bonds.append((attach, len(colors), 1, ""))
+        colors.append(sym in ("●", "*"))
 
-    k = len(colors) + (1 if hanging_color is not None else 0)
-    multis = [(i, e) for i, e in enumerate(edges) if e[0] > 1]
-
-    if hanging_color is None and not multis:
-        # type A as read
-        return ("A", k, [i for i, c in enumerate(colors) if c])
-
-    if multis:
-        if hanging_color is not None or len(multis) > 1:
-            raise DatumError(f"unclassifiable bond layout: {block!r}")
-        pos, (mult, direction) = multis[0]
-        if mult == 3:
-            if k != 2:
-                raise DatumError("triple bond outside G2")
-            # canonical G2 order: short root first; arrow points at the short root
-            flip = direction == "right"
-            cc = list(reversed(colors)) if flip else colors
-            return ("G", 2, [i for i, c in enumerate(cc) if c])
-        # double bond
-        if k == 2:
-            # canonical C2: arrow points left (first root short)
-            flip = direction == "right"
-            cc = list(reversed(colors)) if flip else colors
-            return ("C", 2, [i for i, c in enumerate(cc) if c])
-        if 0 < pos < len(edges) - 1:
-            if k != 4:
-                raise DatumError("interior double bond outside F4")
-            flip = direction == "left"
-            cc = list(reversed(colors)) if flip else colors
-            return ("F", 4, [i for i, c in enumerate(cc) if c])
-        flip = pos == 0  # canonical layout keeps the multiple bond at the right end
-        cc = list(reversed(colors)) if flip else colors
-        dd = direction
-        if flip:
-            dd = "left" if direction == "right" else "right"
-        series = "B" if dd == "right" else "C"
-        return (series, k, [i for i, c in enumerate(cc) if c])
-
-    # branch node: D_k has chain arms (k-3, 1); E_k has chain arms (2, k-4)
-    if attach_idx is None:
-        raise DatumError("unreachable branch state")
-    left_arm = attach_idx
-    right_arm = len(colors) - 1 - attach_idx
-    if min(left_arm, right_arm) < 1:
-        raise DatumError(f"branch at a chain end: {block!r}")
-    if 1 in (left_arm, right_arm):
-        if k < 4 or max(left_arm, right_arm) != k - 3:
-            raise DatumError(f"branch arms ({left_arm},{right_arm}) not of finite type")
-        flip = left_arm == 1 and right_arm != 1  # canonical fork is at the right
-        cc = list(reversed(colors)) if flip else colors
-        # canonical node order: chain alpha_1..alpha_{k-1}, hanging alpha_k
-        positions = [i for i, c in enumerate(cc) if c]
-        if hanging_color:
-            positions.append(k - 1)
-        return ("D", k, sorted(positions))
-    if k not in (6, 7, 8) or sorted((left_arm, right_arm)) != [2, k - 4]:
-        raise DatumError(f"branch arms ({left_arm},{right_arm}) not of finite type")
-    flip = left_arm != 2
-    cc = list(reversed(colors)) if flip else colors
-    # canonical Bourbaki order: chain = alpha_1, alpha_3, ..., alpha_k; hanging = alpha_2
-    chain_names = [0] + list(range(2, k))
-    positions = [chain_names[i] for i, c in enumerate(cc) if c]
-    if hanging_color:
-        positions.append(1)
-    return ("E", k, sorted(positions))
+    k = len(colors)
+    cartan = [[2 if i == j else 0 for j in range(k)] for i in range(k)]
+    for a, b, mult, direction in bonds:
+        short, long = (b, a) if direction == "right" else (a, b)
+        cartan[short][long], cartan[long][short] = -mult, -1
+    return component_layout(cartan, cartan_neighbours(cartan), range(k)), cartan, colors
 
 
 def parse_ascii(text: str) -> SatakeDiagram:
@@ -418,8 +357,19 @@ def parse_ascii(text: str) -> SatakeDiagram:
 
     Inverse to render_ascii on diagrams produced by ``canonical_diagram``;
     for other bases it recovers the same picture over canonical data (the
-    torus part and lattice gluing are not encoded in the picture).
+    torus part and lattice gluing are not encoded in the picture).  Each
+    block is classified by the Dynkin walker and its nodes are laid onto the
+    canonical drawing of its type; a path whose bonds read backwards is
+    reversed.
     """
-    blocks = [b for b in text.split("\n\n") if b.strip()]
-    comps = [_parse_component(b) for b in blocks]
-    return canonical_diagram(comps)
+    blocks = [_read_block(b) for b in text.split("\n\n") if b.strip()]
+    base = datum_product([simply_connected_datum(lay.series, lay.rank) for lay, _, _ in blocks])
+    black: set[int] = set()
+    for (layout, cartan, colors), target in zip(blocks, base.layouts):
+        chain = layout.chain
+        drawn = [cartan[a][b] for a, b in zip(chain, chain[1:])]
+        if drawn != [base.cartan[a][b] for a, b in zip(target.chain, target.chain[1:])]:
+            chain = chain[::-1]
+        position = dict(zip((*chain, layout.hanging), (*target.chain, target.hanging)))
+        black.update(position[v] for v, color in enumerate(colors) if color)
+    return SatakeDiagram(base=base, black=frozenset(black))

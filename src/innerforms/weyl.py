@@ -10,16 +10,20 @@ semisimple rank 6.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
+from operator import mul
 
 from .errors import DatumError, EnumerationLimitError
 from .rootdata import (
     BasedRootDatum,
     DynkinType,
     Vector,
-    classify,
+    cartan_neighbours,
+    component_layout,
     dynkin_components,
     integer_kernel_basis,
+    validate_cartan_matrix,
 )
 
 ENUMERATION_RANK_BOUND = 6
@@ -132,7 +136,7 @@ def orbit_product_order(datum: BasedRootDatum) -> int:
     """
     cartan = datum.cartan
     order = 1
-    for comp in dynkin_components(datum):
+    for comp in dynkin_components(datum.neighbours):
         nodes = set(comp)
         while nodes:
             s = min(v for v in nodes if sum(w in nodes for w in datum.neighbours[v]) <= 1)
@@ -359,29 +363,26 @@ def rank_one_decomposition(
 
 
 def subsystem_type(datum: BasedRootDatum, simple_coords: list[Vector]) -> DynkinType:
-    """Classify a subsystem given the simple-root coordinates of its simples."""
-    roots = tuple(coords_to_vector(datum, c) for c in simple_coords)
-    coroots = tuple(_coroot_of(datum, c) for c in simple_coords)
-    return classify(BasedRootDatum(datum.rank, roots, coroots, name=f"{datum.name}|sub"))
+    """Classify a subsystem given the simple-root coordinates of its simples.
 
-
-def _coroot_of(datum: BasedRootDatum, coords: Vector) -> Vector:
-    """Coroot of the root with the given simple-root coordinates.
-
-    With a W-invariant form normalized per component, r^vee expands as
-    sum_i (2 d_i c_i / (r,r)) alpha_i^vee; the coefficients are integers
-    for any root of a finite system; d is the datum's cached symmetrizer.
+    Its Cartan matrix <beta_j, beta_i^vee> = 2 B(beta_i, beta_j) / B(beta_i, beta_i)
+    comes from the W-invariant form B(x, y) = sum_ab x_a y_b d_a C[a][b], d the
+    cached symmetrizer; its torus rank is the lattice rank minus the simples.
     """
-    cartan = datum.cartan
-    d = datum.symmetrizer
-    support = [i for i, c in enumerate(coords) if c]
-    norm2 = sum(coords[i] * coords[j] * d[i] * cartan[i][j] for i in support for j in support)
-    out = [0] * datum.rank
-    for i in support:
-        c, remainder = divmod(2 * d[i] * coords[i], norm2)
-        if remainder:
-            raise DatumError("coroot coefficients not integral; corrupted subsystem")
-        for t, y in enumerate(datum.simple_coroots[i]):
-            if y:
-                out[t] += c * y
-    return tuple(out)
+    cartan, d = datum.cartan, datum.symmetrizer
+    sub = []
+    for coords in simple_coords:
+        # form[b] = B(beta, alpha_b), summed over the support of beta
+        form = [0] * len(cartan)
+        for a in compress(range(len(coords)), coords):
+            for b in (a, *datum.neighbours[a]):
+                form[b] += coords[a] * d[a] * cartan[a][b]
+        norm2 = sum(map(mul, form, coords))
+        row = [divmod(2 * sum(map(mul, form, other)), norm2) for other in simple_coords]
+        if any(remainder for _, remainder in row):
+            raise DatumError("Cartan entries not integral; corrupted subsystem")
+        sub.append(tuple(entry for entry, _ in row))
+    neighbours = cartan_neighbours(sub)
+    validate_cartan_matrix(sub, neighbours)
+    layouts = (component_layout(sub, neighbours, comp) for comp in dynkin_components(neighbours))
+    return DynkinType(tuple(layout.label for layout in layouts), datum.rank - len(sub))

@@ -11,7 +11,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from innerforms.rootdata import diagonal_of, dual_datum, smith_normal_form
+from innerforms.errors import DatumError
+from innerforms.rootdata import (
+    BasedRootDatum,
+    classify,
+    diagonal_of,
+    dual_datum,
+    smith_normal_form,
+)
+from innerforms.satake import _tokenize_chain
+from innerforms.weyl import coords_to_vector
 
 
 def cofactor_det(m) -> int:
@@ -243,3 +252,129 @@ def lj_by_terms(terms: dict, d: int, tag=lambda t: t) -> dict:
             key = (tuple(block // d for block in comp), tuple(tag(t) for t in labels))
             out[key] = out.get(key, 0) + coeff
     return dict(sorted((key, coeff) for key, coeff in out.items() if coeff))
+
+
+# ---------------------------------------------------------------------------
+# Dynkin classification by other routes than the one Cartan walker
+
+
+def subsystem_type_by_subdatum(datum, simple_coords):
+    """Type of a subsystem by building and classifying its full-rank root datum.
+
+    The roots are the simples in lattice coordinates and the coroots come
+    from :func:`coroot_of`, so the datum's own Cartan matrix and validation
+    decide the type.
+    """
+    roots = tuple(coords_to_vector(datum, c) for c in simple_coords)
+    coroots = tuple(coroot_of(datum, c) for c in simple_coords)
+    return classify(BasedRootDatum(datum.rank, roots, coroots, name=f"{datum.name}|sub"))
+
+
+def coroot_of(datum, coords):
+    """Coroot of the root with the given simple-root coordinates.
+
+    With a W-invariant form normalized per component, r^vee expands as
+    sum_i (2 d_i c_i / (r,r)) alpha_i^vee; the coefficients are integers
+    for any root of a finite system; d is the datum's cached symmetrizer.
+    """
+    cartan = datum.cartan
+    d = datum.symmetrizer
+    support = [i for i, c in enumerate(coords) if c]
+    norm2 = sum(coords[i] * coords[j] * d[i] * cartan[i][j] for i in support for j in support)
+    out = [0] * datum.rank
+    for i in support:
+        c, remainder = divmod(2 * d[i] * coords[i], norm2)
+        if remainder:
+            raise DatumError("coroot coefficients not integral; corrupted subsystem")
+        for t, y in enumerate(datum.simple_coroots[i]):
+            if y:
+                out[t] += c * y
+    return tuple(out)
+
+
+def parse_component_by_series_rules(block: str) -> tuple[str, int, list[int]]:
+    """One picture block -> (series, rank, black positions in canonical order).
+
+    Reads the series straight off the drawing, rule by rule: G2 and C2 by
+    their arrow, F4 by its interior double bond, B against C by the arrow at
+    the end, D and E by the arm lengths around the hanging node.
+    """
+    lines = block.split("\n")
+    colors, edges, cols = _tokenize_chain(lines[0])
+    hanging_color = None
+    attach_idx = None
+    if len(lines) > 1:
+        if len(lines) != 3 or lines[1].strip() != "|":
+            raise DatumError(f"malformed branch block: {block!r}")
+        bar_col = lines[1].index("|")
+        sym = lines[2].strip()
+        if sym not in ("●", "○", "*", "o"):
+            raise DatumError(f"bad hanging vertex {sym!r}")
+        if lines[2].index(sym) != bar_col or bar_col not in cols:
+            raise DatumError(f"branch not aligned under a chain vertex: {block!r}")
+        hanging_color = sym in ("●", "*")
+        attach_idx = cols.index(bar_col)
+
+    k = len(colors) + (1 if hanging_color is not None else 0)
+    multis = [(i, e) for i, e in enumerate(edges) if e[0] > 1]
+
+    if hanging_color is None and not multis:
+        # type A as read
+        return ("A", k, [i for i, c in enumerate(colors) if c])
+
+    if multis:
+        if hanging_color is not None or len(multis) > 1:
+            raise DatumError(f"unclassifiable bond layout: {block!r}")
+        pos, (mult, direction) = multis[0]
+        if mult == 3:
+            if k != 2:
+                raise DatumError("triple bond outside G2")
+            # canonical G2 order: short root first; arrow points at the short root
+            flip = direction == "right"
+            cc = list(reversed(colors)) if flip else colors
+            return ("G", 2, [i for i, c in enumerate(cc) if c])
+        # double bond
+        if k == 2:
+            # canonical C2: arrow points left (first root short)
+            flip = direction == "right"
+            cc = list(reversed(colors)) if flip else colors
+            return ("C", 2, [i for i, c in enumerate(cc) if c])
+        if 0 < pos < len(edges) - 1:
+            if k != 4:
+                raise DatumError("interior double bond outside F4")
+            flip = direction == "left"
+            cc = list(reversed(colors)) if flip else colors
+            return ("F", 4, [i for i, c in enumerate(cc) if c])
+        flip = pos == 0  # canonical layout keeps the multiple bond at the right end
+        cc = list(reversed(colors)) if flip else colors
+        dd = direction
+        if flip:
+            dd = "left" if direction == "right" else "right"
+        series = "B" if dd == "right" else "C"
+        return (series, k, [i for i, c in enumerate(cc) if c])
+
+    # branch node: D_k has chain arms (k-3, 1); E_k has chain arms (2, k-4)
+    left_arm = attach_idx
+    right_arm = len(colors) - 1 - attach_idx
+    if min(left_arm, right_arm) < 1:
+        raise DatumError(f"branch at a chain end: {block!r}")
+    if 1 in (left_arm, right_arm):
+        if k < 4 or max(left_arm, right_arm) != k - 3:
+            raise DatumError(f"branch arms ({left_arm},{right_arm}) not of finite type")
+        flip = left_arm == 1 and right_arm != 1  # canonical fork is at the right
+        cc = list(reversed(colors)) if flip else colors
+        # canonical node order: chain alpha_1..alpha_{k-1}, hanging alpha_k
+        positions = [i for i, c in enumerate(cc) if c]
+        if hanging_color:
+            positions.append(k - 1)
+        return ("D", k, sorted(positions))
+    if k not in (6, 7, 8) or sorted((left_arm, right_arm)) != [2, k - 4]:
+        raise DatumError(f"branch arms ({left_arm},{right_arm}) not of finite type")
+    flip = left_arm != 2
+    cc = list(reversed(colors)) if flip else colors
+    # canonical Bourbaki order: chain = alpha_1, alpha_3, ..., alpha_k; hanging = alpha_2
+    chain_names = [0] + list(range(2, k))
+    positions = [chain_names[i] for i, c in enumerate(cc) if c]
+    if hanging_color:
+        positions.append(1)
+    return ("E", k, sorted(positions))

@@ -301,19 +301,6 @@ def test_basis_element_validation():
         BasisElement(split_side(4), (2, 2), ("a",))
 
 
-def test_unitary_transfer_alias():
-    from innerforms.grothendieck import unitary_transfer, inner_side
-
-    image = unitary_transfer(steinberg(4, "sigma"), 2)
-    assert image == BasisElement(inner_side(2, 2), (2,), ("sigma",))
-    with pytest.raises(TransferError):
-        unitary_transfer(gl2_principal_series(), 2)  # dies under the transfer
-    with pytest.raises(TransferError):
-        unitary_transfer(steinberg(2) + gl2_principal_series(), 2)  # not a single term
-    with pytest.raises(TransferError):
-        unitary_transfer(steinberg(2).scale(2), 2)  # coefficient != 1
-
-
 # ---------------------------------------------------------------------------
 # unordered terms: the transfer against a termwise oracle, order independence
 

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from innerforms.errors import EnumerationLimitError
+from innerforms import weyl
+from innerforms.errors import DatumError, EnumerationLimitError
 from innerforms.levi import LeviDescriptor, levi_datum
 from innerforms.rootdata import (
     build_catalog_group,
     classify,
+    datum_product,
     simply_connected_datum,
 )
 from innerforms.weyl import (
@@ -20,14 +22,17 @@ from innerforms.weyl import (
     positive_roots_coords,
     rank_one_decomposition,
     reduced_roots,
+    subsystem_type,
     weyl_group_order,
     word_matrix,
 )
 from oracles import (
+    coroot_of,
     positive_root_count,
     proportional_positive,
     rational_kernel,
     roots_by_closure,
+    subsystem_type_by_subdatum,
     weyl_order_by_closure,
     weyl_order_closed_form,
 )
@@ -402,18 +407,59 @@ def test_rank_one_exceptional_types():
 def test_subsystem_coroots_normalized():
     # every root of a subsystem must pair to 2 against its own coroot, and to
     # integers against all roots of the ambient system
-    from innerforms.weyl import _coroot_of
-
     for tag, params in [("Sp", [8]), ("Spin", [9]), ("F4", []), ("G2", []), ("Spin", [12])]:
         datum = build_catalog_group(tag, params)
         for coords in positive_roots_coords(datum):
             root = coords_to_vector(datum, coords)
-            coroot = _coroot_of(datum, coords)
+            coroot = coroot_of(datum, coords)
             assert sum(a * b for a, b in zip(root, coroot)) == 2
             for other in positive_roots_coords(datum):
                 vec = coords_to_vector(datum, other)
                 pairing = sum(a * b for a, b in zip(vec, coroot))
                 assert -3 <= pairing <= 3 or vec == root
+
+
+# the Weyl part of the library benchmark: every rank up to 8 but B6 and D6
+WEYL_LADDER = (
+    [(("SL", [n]),) for n in range(2, 10)]
+    + [(("Sp", [2 * r]),) for r in range(2, 9)]
+    + [(("Spin", [2 * r + 1]),) for r in (2, 3, 4, 5, 7, 8)]
+    + [(("Spin", [2 * r]),) for r in (4, 5, 7, 8)]
+    + [((tag, []),) for tag in ("G2", "F4", "E6sc", "E7sc", "E8")]
+)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    WEYL_LADDER + [(("G2", []), ("GSp", [6]))],
+    ids=lambda factors: "x".join(f"{tag}{params}" for tag, params in factors),
+)
+def test_rank_one_types_match_subdatum_oracle(factors, monkeypatch):
+    # every theta: each rank-one type read off the Cartan submatrix equals the
+    # type of the full-rank sub-datum built from the same simples
+    data = [build_catalog_group(tag, params) for tag, params in factors]
+    datum = data[0] if len(data) == 1 else datum_product(data)
+    classified = []
+
+    def checked(ambient, simple_coords):
+        found = subsystem_type(ambient, simple_coords)
+        assert found == subsystem_type_by_subdatum(ambient, simple_coords), simple_coords
+        classified.append(found)
+        return found
+
+    monkeypatch.setattr(weyl, "subsystem_type", checked)
+    for theta in all_subsets(datum.semisimple_rank):
+        rank_one_decomposition(datum, theta)
+    assert len(classified) >= 2 ** datum.semisimple_rank - 1
+
+
+def test_subsystem_type_refuses_non_simple_roots():
+    # 3 alpha_1 + alpha_2 is no root of A2: 2 B(x, alpha_1) / B(x, x) = 10/14
+    with pytest.raises(DatumError, match="not integral"):
+        subsystem_type(build_catalog_group("SL", [3]), [(3, 1), (1, 0)])
+    # alpha_1, alpha_2 and their sum are no set of simple roots
+    with pytest.raises(DatumError, match="positive off-diagonal"):
+        subsystem_type(build_catalog_group("G2", []), [(1, 0), (0, 1), (1, 1)])
 
 
 def test_torus_edge_cases():
