@@ -16,8 +16,7 @@ presentational and do not count as catalog violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .kottwitz import ad_quotient_order
 from .levi import LeviDescriptor, analyze_levi, remove_indices
 from .rootdata import build_catalog_group
@@ -27,8 +26,7 @@ GroupTag = tuple[str, tuple[int, ...]]  # (catalog tag, parameters)
 Sample = tuple[GroupTag, tuple[int, ...], tuple[int, ...]]  # (group, removed, degrees)
 
 
-@dataclass(frozen=True)
-class CatalogVariant:
+class CatalogVariant(Record):
     """One inner-form variant of an entry (some entries have two)."""
 
     mprime_paper: str
@@ -42,8 +40,7 @@ class CatalogVariant:
     alternatives: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class AppendixEntry:
+class AppendixEntry(Record):
     key: str
     family: str
     group_paper: str

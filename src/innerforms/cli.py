@@ -10,45 +10,15 @@ forces ASCII diagram rendering.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
-from fractions import Fraction
 
-from . import appendix as appendix_mod
 from .errors import GroupParseError, GroupSpecError, InnerFormsError
-from .globalize import (
-    HasseVector,
-    PlaceLabel,
-    global_division_algebra,
-    plan_globalization,
-)
-from .grothendieck import lj_map, parse_virtual
-from .kottwitz import (
-    dual_center_positive_dimensional,
-    inner_form_classes_gl,
-    kottwitz_group,
-)
-from .levi import LeviDescriptor, analyze_levi, is_maximal, remove_indices
-from .rootdata import (
-    BasedRootDatum,
-    build_catalog_group,
-    check_lattice_rank,
-    datum_product,
-)
-from .satake import (
-    SatakeDiagram,
-    levi_satake_diagram,
-    render_ascii,
-    transfer_levi,
-    type_a_satake,
-)
-from .weyl import (
-    ENUMERATION_RANK_BOUND,
-    find_w_theta,
-    reduced_roots,
-    weyl_group_order,
-)
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: each command imports the layers it runs
+    from .globalize import HasseVector
+    from .rootdata import BasedRootDatum
 
 _GROUP_TOKEN = re.compile(r"(?P<tag>[A-Za-z][A-Za-z0-9]*)(?:\((?P<args>[^)]*)\))?")
 _PARAMETRIC_TAGS = {"GL", "SL", "PGL", "Sp", "GSp", "Spin", "GSpin", "SO"}
@@ -59,6 +29,7 @@ def parse_group_expr(text: str) -> BasedRootDatum:
 
     Products use ``x`` between factors.  Parse errors report the byte offset.
     """
+    from .rootdata import build_catalog_group, check_lattice_rank, datum_product
     text = text.strip()
     if not text:
         raise GroupParseError("empty group expression", 0)
@@ -118,6 +89,7 @@ def parse_removed(datum: BasedRootDatum, text: str) -> list[int]:
 
 def _theta_from_args(datum: BasedRootDatum, args) -> tuple[int, ...]:
     if args.remove is not None:
+        from .levi import remove_indices
         return remove_indices(datum, parse_removed(datum, args.remove))
     if args.theta is not None:
         if not args.theta.strip():
@@ -144,6 +116,7 @@ def _int_list(text: str, what: str) -> list[int]:
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
+        import json
         print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
     else:
         print(text)
@@ -154,6 +127,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _cmd_levi(args) -> int:
+    from .levi import LeviDescriptor, analyze_levi, is_maximal
     datum = parse_group_expr(args.group)
     theta = _theta_from_args(datum, args)
     desc = LeviDescriptor(datum, theta)
@@ -187,6 +161,8 @@ def _cmd_levi(args) -> int:
 
 
 def _cmd_satake(args) -> int:
+    from .levi import LeviDescriptor, analyze_levi
+    from .satake import levi_satake_diagram, render_ascii, transfer_levi, type_a_satake
     datum = parse_group_expr(args.group)
     if args.pattern is not None:
         pattern = _int_list(args.pattern, "pattern")
@@ -233,14 +209,19 @@ def _cmd_satake(args) -> int:
 
 
 def _cmd_appendix(args) -> int:
+    from .appendix import catalog_json, catalog_markdown
     if args.json:
-        print(json.dumps(appendix_mod.catalog_json(), indent=2, sort_keys=True, ensure_ascii=False))
+        import json
+        print(json.dumps(catalog_json(), indent=2, sort_keys=True, ensure_ascii=False))
     else:
-        print(appendix_mod.catalog_markdown())
+        print(catalog_markdown())
     return 0
 
 
 def _cmd_weyl(args) -> int:
+    import json
+
+    from .weyl import ENUMERATION_RANK_BOUND, find_w_theta, reduced_roots, weyl_group_order
     datum = parse_group_expr(args.group)
     theta = _theta_from_args(datum, args)
     word, image = find_w_theta(datum, theta)
@@ -269,6 +250,7 @@ def _cmd_weyl(args) -> int:
 
 
 def _cmd_kottwitz(args) -> int:
+    from .kottwitz import dual_center_positive_dimensional, kottwitz_group
     datum = parse_group_expr(args.group)
     group = kottwitz_group(datum)
     payload = {
@@ -288,6 +270,8 @@ def _cmd_kottwitz(args) -> int:
 
 
 def _cmd_inner_forms(args) -> int:
+    from .kottwitz import inner_form_classes_gl
+    from .levi import LeviDescriptor, analyze_levi
     datum = parse_group_expr(args.group)
     # G is GL_n exactly when theta = Delta is a sandwich Levi that is its own
     # envelope with a single GL factor: one GL_n (n > 1) or one central GL_1
@@ -318,6 +302,7 @@ def _cmd_inner_forms(args) -> int:
 
 
 def _cmd_globalize(args) -> int:
+    from .globalize import plan_globalization
     plan = plan_globalization(args.prime, args.places, args.class_order, args.class_residue)
     payload = {
         "command": "globalize",
@@ -348,6 +333,9 @@ _INV_ITEM = re.compile(r"^(?P<place>[A-Za-z0-9_.@-]+)=(?P<num>-?\d+)/(?P<den>\d+
 
 
 def _parse_invariants(text: str) -> HasseVector:
+    from fractions import Fraction
+
+    from .globalize import HasseVector, PlaceLabel
     entries = []
     for piece in text.split(","):
         piece = piece.strip()
@@ -379,6 +367,7 @@ def _parse_invariants(text: str) -> HasseVector:
 
 
 def _cmd_division_algebra(args) -> int:
+    from .globalize import global_division_algebra
     invariants = _parse_invariants(args.inv)
     report = global_division_algebra(args.n, invariants)
     payload = {
@@ -399,6 +388,7 @@ def _cmd_division_algebra(args) -> int:
 
 
 def _cmd_lj(args) -> int:
+    from .grothendieck import lj_map, parse_virtual
     text = args.element
     if text is None or text == "-":
         text = sys.stdin.read()

@@ -8,9 +8,9 @@ are canonical representatives in [0, 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import GroupSpecError, TransferError
 
 
@@ -73,8 +73,7 @@ def split_primes(p: int, count: int) -> list[int]:
 # places and Hasse vectors
 
 
-@dataclass(frozen=True)
-class PlaceLabel:
+class PlaceLabel(Record):
     """Symbolic place: finite places carry their residue prime."""
 
     id: str
@@ -101,8 +100,7 @@ def _canonical_fraction(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator)  # representative in [0, 1)
 
 
-@dataclass(frozen=True)
-class HasseVector:
+class HasseVector(Record):
     """Finite-support map place -> Q/Z, entries canonical in [0, 1)."""
 
     entries: tuple[tuple[PlaceLabel, Fraction], ...]
@@ -148,8 +146,7 @@ class HasseVector:
 MAX_PLACES = 4096
 
 
-@dataclass(frozen=True)
-class GlobalizationPlan:
+class GlobalizationPlan(Record):
     """Plan data for a number field with l places isomorphic to the base field.
 
     ``tower_primes`` are the r split primes whose square roots generate the
@@ -202,8 +199,7 @@ def plan_places(p: int, l: int) -> GlobalizationPlan:
     )
 
 
-@dataclass(frozen=True)
-class CocycleCheck:
+class CocycleCheck(Record):
     assignment: tuple[tuple[PlaceLabel, Fraction], ...]
     valid: bool
     message: str
@@ -275,8 +271,7 @@ def plan_globalization(
 # global division algebras
 
 
-@dataclass(frozen=True)
-class DivisionAlgebraReport:
+class DivisionAlgebraReport(Record):
     n: int
     valid: bool
     message: str

@@ -12,23 +12,38 @@ discrete-series correspondence.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Mapping
 
+from ._record import Record, _setattr
 from .errors import GroupSpecError, TransferError
 
 
-@dataclass(frozen=True)
 class GroupSide:
-    """GL_m(D_d); the split side is d = 1 with n = m."""
+    """GL_m(D_d); the split side is d = 1 with n = m.
 
-    m: int
-    d: int = 1
+    One object per (m, d), so equality and hashing are by identity.
+    """
 
-    def __post_init__(self):
-        if self.m < 1 or self.d < 1:
-            raise GroupSpecError("group side needs positive m and d")
+    __slots__ = ("m", "d")
+    _interned: dict[tuple[int, int], GroupSide] = {}
+
+    def __new__(cls, m: int, d: int = 1):
+        side = cls._interned.get((m, d))
+        if side is None:
+            if m < 1 or d < 1:
+                raise GroupSpecError("group side needs positive m and d")
+            side = cls._interned[m, d] = object.__new__(cls)
+            _setattr(side, "m", m)
+            _setattr(side, "d", d)
+        return side
+
+    def __reduce__(self):
+        return GroupSide, (self.m, self.d)
+
+    # frozen, with the dataclass repr, as the other records
+    _fields = __slots__
+    __setattr__, __delattr__, __repr__ = Record.__setattr__, Record.__delattr__, Record.__repr__
 
     @property
     def n(self) -> int:
@@ -43,37 +58,36 @@ class GroupSide:
 
 
 def split_side(n: int) -> GroupSide:
-    return GroupSide(m=n, d=1)
+    return GroupSide(n, 1)
 
 
 def inner_side(m: int, d: int) -> GroupSide:
-    return GroupSide(m=m, d=d)
+    return GroupSide(m, d)
 
 
-@dataclass(frozen=True, eq=False)
 class BasisElement:
     """Induced from the standard Levi given by ``composition``, one tag per block.
 
     The hash is computed once, after validation; equality compares it first.
     """
 
-    side: GroupSide
-    composition: tuple[int, ...]
-    labels: tuple[str, ...]
-    _hash: int = field(init=False, repr=False)
+    __slots__ = ("side", "composition", "labels", "_hash")
 
-    def __post_init__(self):
-        if not self.composition or min(self.composition) < 1:
-            raise GroupSpecError(f"bad composition {self.composition}")
-        if sum(self.composition) != self.side.m:
-            raise GroupSpecError(
-                f"composition {self.composition} does not sum to {self.side.m}"
-            )
-        if len(self.labels) != len(self.composition):
+    def __init__(self, side: GroupSide, composition: tuple[int, ...], labels: tuple[str, ...]):
+        if not composition or min(composition) < 1:
+            raise GroupSpecError(f"bad composition {composition}")
+        if sum(composition) != side.m:
+            raise GroupSpecError(f"composition {composition} does not sum to {side.m}")
+        if len(labels) != len(composition):
             raise GroupSpecError("one label per composition block required")
-        object.__setattr__(
-            self, "_hash", hash((self.side, self.composition, self.labels))
-        )
+        _fill(self, side, composition, labels)
+
+    @classmethod
+    def _checked(cls, side: GroupSide, composition: tuple[int, ...], labels: tuple[str, ...]):
+        """A term whose nonnegative blocks are known to sum to ``side.m``, one label each."""
+        if 0 in composition:
+            raise GroupSpecError(f"bad composition {composition}")
+        return _fill(object.__new__(cls), side, composition, labels)
 
     def __hash__(self) -> int:
         return self._hash
@@ -91,11 +105,22 @@ class BasisElement:
             self._hash == other._hash
             and self.composition == other.composition
             and self.labels == other.labels
-            and self.side == other.side
+            and self.side is other.side
         )
+
+    _fields = ("side", "composition", "labels")
+    __setattr__, __delattr__, __repr__ = Record.__setattr__, Record.__delattr__, Record.__repr__
 
     def render(self) -> str:
         return _composition_text(self.composition) + ",".join(self.labels)
+
+
+def _fill(elt: BasisElement, side, composition, labels) -> BasisElement:
+    _setattr(elt, "side", side)
+    _setattr(elt, "composition", composition)
+    _setattr(elt, "labels", labels)
+    _setattr(elt, "_hash", hash((side, composition, labels)))
+    return elt
 
 
 def _composition_text(composition: tuple[int, ...]) -> str:
@@ -277,7 +302,7 @@ def _term_transfer(d: int, label_transfer=None) -> Callable[[BasisElement], Basi
         if target is None:
             return None
         labels = elt.labels if mapper is None else tuple(mapper(t) for t in elt.labels)
-        return BasisElement(inner, target, labels)
+        return BasisElement._checked(inner, target, labels)
 
     return transfer
 
@@ -482,7 +507,7 @@ def parse_virtual(text: str, n: int | None = None) -> VirtualElement:
             )
         if side is None:
             side = split_side(total_n)
-        element = BasisElement(side, comp, tags)
+        element = BasisElement._checked(side, comp, tags)
         total[element] = total.get(element, 0) + coeff
         first = False
         pos = match.end()

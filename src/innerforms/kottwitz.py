@@ -9,15 +9,14 @@ Brauer group and are labelled by residues j mod n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from ._record import Record
 from .errors import GroupSpecError
 from .rootdata import BasedRootDatum, FiniteAbelianGroup, adjoint_datum, classify
 
 
-@dataclass(frozen=True)
-class InnerFormClass:
+class InnerFormClass(Record):
     """One inner form of GL_n: residue label j and its division data (d, j')."""
 
     n: int
@@ -68,9 +67,7 @@ def inner_form_classes_gl(n: int) -> list[InnerFormClass]:
     for j in range(n):
         g = gcd(j, n)
         d = n // g
-        out.append(
-            InnerFormClass(n=n, label=j, d=d, invariant_numerator=j // g)
-        )
+        out.append(InnerFormClass(n, j, d, j // g))
     return out
 
 

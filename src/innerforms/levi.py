@@ -9,8 +9,7 @@ together with exactness data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import DatumError
 from .rootdata import (
     BasedRootDatum,
@@ -22,8 +21,7 @@ from .rootdata import (
 )
 
 
-@dataclass(frozen=True)
-class LeviDescriptor:
+class LeviDescriptor(Record):
     """Ambient datum plus the sorted subset of Delta generating the Levi."""
 
     ambient: BasedRootDatum
@@ -37,8 +35,7 @@ class LeviDescriptor:
             raise DatumError(f"theta {theta} out of range for {k} simple roots")
 
 
-@dataclass(frozen=True)
-class LeviReport:
+class LeviReport(Record):
     """What the Levi looks like as a group, and whether it transfers.
 
     ``gl_envelope`` lists the n_i of the enveloping product of GL_{n_i}
@@ -65,10 +62,10 @@ def levi_datum(desc: LeviDescriptor) -> BasedRootDatum:
     """Sub-root-datum of the Levi: same lattices, simple roots restricted to theta."""
     amb = desc.ambient
     return BasedRootDatum(
-        rank=amb.rank,
-        simple_roots=tuple(amb.simple_roots[t] for t in desc.theta),
-        simple_coroots=tuple(amb.simple_coroots[t] for t in desc.theta),
-        name=f"{amb.name}|theta={list(desc.theta)}",
+        amb.rank,
+        tuple(amb.simple_roots[t] for t in desc.theta),
+        tuple(amb.simple_coroots[t] for t in desc.theta),
+        f"{amb.name}|theta={list(desc.theta)}",
     )
 
 
@@ -90,8 +87,7 @@ def analyze_levi(desc: LeviDescriptor) -> LeviReport:
     # the Levi's Cartan matrix is the ambient one restricted to theta, so its
     # components carry the same labels as theta's components in the ambient
     derived_type = DynkinType(
-        components=tuple(component_layout(cartan, neighbours, c).label for c in comps),
-        torus_rank=amb.rank - len(theta),
+        tuple(component_layout(cartan, neighbours, c).label for c in comps), amb.rank - len(theta)
     )
 
     pi1_factors, _ = cokernel_invariants(
@@ -117,14 +113,8 @@ def analyze_levi(desc: LeviDescriptor) -> LeviReport:
     extra = amb.rank - len(theta) - len(comps)
     exact = condition_one and extra >= 0 and not root_torsion
     return LeviReport(
-        derived_type=derived_type,
-        split_component_rank=split_component_rank,
-        derived_pi1=derived_pi1,
-        condition_one=condition_one,
-        gl_envelope=gl_envelope,
-        components=comps,
-        envelope_exact=exact,
-        central_gl1s=extra if exact else None,
+        derived_type, split_component_rank, derived_pi1, condition_one, gl_envelope, comps,
+        exact, extra if exact else None,
     )
 
 

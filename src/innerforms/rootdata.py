@@ -10,12 +10,11 @@ constructors build the split groups used elsewhere in the package.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from math import lcm
+from math import gcd
 
+from ._record import Record
 from .errors import DatumError, GroupSpecError
 
 Vector = tuple[int, ...]
@@ -285,8 +284,7 @@ def integer_kernel_basis(rows: list[Vector], n: int) -> list[Vector]:
 # finite abelian groups and Dynkin types
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Record):
     """Finite abelian group as an invariant-factor list d_1 | d_2 | ... (each >= 2)."""
 
     invariant_factors: tuple[int, ...] = ()
@@ -319,8 +317,7 @@ class FiniteAbelianGroup:
 SERIES = ("A", "B", "C", "D", "E", "F", "G")
 
 
-@dataclass(frozen=True)
-class DynkinType:
+class DynkinType(Record):
     """Multiset of irreducible series labels plus the rank of the central torus.
 
     Canonical conventions: D_3 appears as A_3, D_2 as A_1+A_1, and the
@@ -368,8 +365,7 @@ class DynkinType:
 # based root data
 
 
-@dataclass(frozen=True)
-class BasedRootDatum:
+class BasedRootDatum(Record):
     """Character lattice Z^rank with chosen simple roots and simple coroots.
 
     The pairing <alpha_j, alpha_i^vee> is the plain dot product; validation
@@ -434,22 +430,28 @@ class BasedRootDatum:
 
     @cached_property
     def symmetrizer(self) -> tuple[int, ...]:
-        """Per-component positive integers d_i with d_i C[i][j] = d_j C[j][i]."""
-        cartan = self.cartan
-        d: list[Fraction | None] = [None] * self.semisimple_rank
+        """Per-component positive integers d_i with d_i C[i][j] = d_j C[j][i].
+
+        The solution that is 1 at each component's first node, times the least
+        ``scale`` that makes every entry whole, built up in integers.
+        """
+        cartan, neighbours = self.cartan, self.neighbours
+        d = [0] * self.semisimple_rank
+        scale = 1
         for start in range(len(d)):
-            if d[start] is not None:
+            if d[start]:
                 continue
-            d[start] = Fraction(1)
-            stack = [start]
-            while stack:
-                i = stack.pop()
-                for j in self.neighbours[i]:
-                    if d[j] is None:
-                        d[j] = d[i] * cartan[i][j] / cartan[j][i]
-                        stack.append(j)
-        scale = lcm(*(x.denominator for x in d)) if d else 1
-        return tuple(int(x * scale) for x in d)
+            d[start], comp = scale, [start]
+            for i in comp:
+                for j in neighbours[i]:
+                    if not d[j]:
+                        num, den = d[i] * cartan[i][j], cartan[j][i]
+                        k = abs(den) // gcd(num, den)  # the least k with num * k / den whole
+                        if k != 1:
+                            scale, num, d = scale * k, num * k, [x * k for x in d]
+                        d[j] = num // den
+                        comp.append(j)
+        return tuple(d)
 
     @cached_property
     def layouts(self) -> tuple[ComponentLayout, ...]:
@@ -463,8 +465,7 @@ class BasedRootDatum:
     def dynkin_type(self) -> DynkinType:
         """Component multiset plus central torus rank; see :func:`classify`."""
         return DynkinType(
-            components=tuple(layout.label for layout in self.layouts),
-            torus_rank=self.rank - self.semisimple_rank,
+            tuple(layout.label for layout in self.layouts), self.rank - self.semisimple_rank
         )
 
     @cached_property
@@ -569,8 +570,7 @@ def dynkin_components(neighbours, indices=None) -> list[list[int]]:
     return comps
 
 
-@dataclass(frozen=True)
-class ComponentLayout:
+class ComponentLayout(Record):
     """One connected Dynkin component: its canonical label and how it is drawn.
 
     ``chain`` is the row of nodes in drawing order.  D and E components hang

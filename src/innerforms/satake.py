@@ -11,8 +11,8 @@ Unicode default and an ASCII fallback, and round-trips through
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import DatumError, TransferError
 from .levi import LeviDescriptor, LeviReport, levi_datum
 from .rootdata import (
@@ -29,8 +29,7 @@ from .rootdata import (
 ASCII_ENV_VAR = "INNERFORMS_ASCII"
 
 
-@dataclass(frozen=True)
-class SatakeDiagram:
+class SatakeDiagram(Record):
     """Dynkin diagram of ``base`` with a black-vertex subset."""
 
     base: BasedRootDatum
@@ -43,8 +42,7 @@ class SatakeDiagram:
             raise DatumError(f"black vertices {sorted(self.black)} out of range")
 
 
-@dataclass(frozen=True)
-class InnerFactor:
+class InnerFactor(Record):
     """One factor GL_m(D_d); ``kind`` records how much of the GL the group fills."""
 
     m: int
@@ -68,8 +66,7 @@ class InnerFactor:
         return body
 
 
-@dataclass(frozen=True)
-class InnerFormShape:
+class InnerFormShape(Record):
     factors: tuple[InnerFactor, ...]
     field_note: str = ""
 
@@ -142,7 +139,7 @@ def transfer_levi(report: LeviReport, division_degrees) -> InnerFormShape:
                 f"in this inner form"
             )
         kind = "GL" if report.envelope_exact else "sandwich"
-        factors.append(InnerFactor(m=n_i // d_i, d=d_i, kind=kind))
+        factors.append(InnerFactor(n_i // d_i, d_i, kind))
     if report.envelope_exact:
         note = f"central GL_1 factors: {report.central_gl1s}"
     else:
@@ -150,7 +147,7 @@ def transfer_levi(report: LeviReport, division_degrees) -> InnerFormShape:
             "proper sandwich between the SL- and GL-products; "
             f"split component rank {report.split_component_rank}"
         )
-    return InnerFormShape(factors=tuple(factors), field_note=note)
+    return InnerFormShape(tuple(factors), note)
 
 
 def shares_derived_type_with_envelope(report: LeviReport) -> bool:
@@ -181,7 +178,7 @@ def levi_satake_diagram(desc: LeviDescriptor, division_degrees) -> SatakeDiagram
         if layout.series != "A":
             raise TransferError("period patterns only exist on type-A components")
         black.update(layout.chain[i] for i in type_a_black_positions(layout.rank + 1, d))
-    return SatakeDiagram(base=sub, black=frozenset(black))
+    return SatakeDiagram(sub, frozenset(black))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +269,7 @@ def canonical_diagram(components) -> SatakeDiagram:
                 raise DatumError(f"black position {p} out of range for {series}{rank}")
             black.add(offset + p)
         offset += d.semisimple_rank
-    return SatakeDiagram(base=base, black=frozenset(black))
+    return SatakeDiagram(base, frozenset(black))
 
 
 def _tokenize_chain(line: str) -> tuple[list[bool], list[tuple[int, str]], list[int]]:
@@ -372,4 +369,4 @@ def parse_ascii(text: str) -> SatakeDiagram:
             chain = chain[::-1]
         position = dict(zip((*chain, layout.hanging), (*target.chain, target.hanging)))
         black.update(position[v] for v, color in enumerate(colors) if color)
-    return SatakeDiagram(base=base, black=frozenset(black))
+    return SatakeDiagram(base, frozenset(black))

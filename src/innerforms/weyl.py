@@ -9,11 +9,11 @@ semisimple rank 6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import gcd
 from operator import mul
 
+from ._record import Record
 from .errors import DatumError, EnumerationLimitError
 from .rootdata import (
     BasedRootDatum,
@@ -29,8 +29,7 @@ from .rootdata import (
 ENUMERATION_RANK_BOUND = 6
 
 
-@dataclass(frozen=True)
-class WeylWord:
+class WeylWord(Record):
     """Word in the simple reflections, 0-based indices into Delta."""
 
     letters: tuple[int, ...]
@@ -43,8 +42,7 @@ class WeylWord:
         return len(self.letters)
 
 
-@dataclass(frozen=True)
-class RestrictedRoot:
+class RestrictedRoot(Record):
     """A reduced root of P with respect to the split component of the Levi.
 
     ``direction`` is a primitive integer vector in A_M-coordinates;
@@ -317,7 +315,7 @@ def _restricted_classes(datum: BasedRootDatum, theta):
         classes.setdefault(_primitive(restriction), []).append((coords, vec))
     pairs = [
         (
-            RestrictedRoot(direction=key, preimages=tuple(sorted(v for _, v in classes[key]))),
+            RestrictedRoot(key, tuple(sorted(v for _, v in classes[key]))),
             [c for c, _ in classes[key]],
         )
         for key in sorted(classes)

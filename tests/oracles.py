@@ -9,9 +9,17 @@ normal form, which the library's sparse invariant-factor path does not use.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from innerforms.errors import DatumError
+from innerforms.errors import DatumError, GroupSpecError
+from innerforms.grothendieck import (
+    _LIST_SEP,
+    _TERM_RE,
+    BasisElement,
+    VirtualElement,
+    split_side,
+    zero,
+)
 from innerforms.rootdata import (
     BasedRootDatum,
     classify,
@@ -236,6 +244,73 @@ def validate_cartan_dense(c) -> str | None:
             if c[i][j] * c[j][i] > 3:
                 return f"bond multiplicity > 3 at {(i, j)} (not finite type)"
     return None
+
+
+def symmetrizer_by_fractions(datum) -> tuple[int, ...]:
+    """The datum's symmetrizer in exact rationals, then scaled to integers.
+
+    d = 1 at the first node of each component and d_j = d_i C[i][j] / C[j][i]
+    along edges; every d is then multiplied by the lcm of all denominators.
+    """
+    cartan, neighbours = datum.cartan, datum.neighbours
+    d: list[Fraction | None] = [None] * datum.semisimple_rank
+    for start in range(len(d)):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in neighbours[i]:
+                if d[j] is None:
+                    d[j] = d[i] * cartan[i][j] / cartan[j][i]
+                    stack.append(j)
+    scale = lcm(*(x.denominator for x in d)) if d else 1
+    return tuple(int(x * scale) for x in d)
+
+
+def parse_virtual_by_terms(text: str, n: int | None = None) -> VirtualElement:
+    """The term grammar with every term built by the public, fully checked
+    ``BasisElement`` constructor: the parser as it was before it skipped the
+    checks it had already made."""
+    text = text.strip()
+    if text == "0":
+        return zero()
+    pos = 0
+    total: dict = {}
+    first = True
+    seen_n = n
+    side = None
+    while pos < len(text):
+        match = _TERM_RE.match(text, pos)
+        if match is None or match.start() != pos:
+            raise GroupSpecError(f"cannot parse element near offset {pos}: {text[pos:pos+20]!r}")
+        sign, coeff_text, comp_text, tags_text = match.group("sign", "coeff", "comp", "tags")
+        if first and sign is None:
+            sign = "+"
+        if sign is None:
+            raise GroupSpecError(f"missing +/- between terms at offset {pos}")
+        coeff = int(coeff_text or 1) * (1 if sign == "+" else -1)
+        comp = tuple(map(int, _LIST_SEP.split(comp_text)))
+        tags = tuple(_LIST_SEP.split(tags_text))
+        if len(tags) != len(comp):
+            raise GroupSpecError(
+                f"term {match.group(0).strip()!r}: {len(comp)} blocks but {len(tags)} tags"
+            )
+        total_n = sum(comp)
+        if seen_n is None:
+            seen_n = total_n
+        elif total_n != seen_n:
+            raise GroupSpecError(f"composition {comp} sums to {total_n}, expected {seen_n}")
+        if side is None:
+            side = split_side(total_n)
+        element = BasisElement(side, comp, tags)
+        total[element] = total.get(element, 0) + coeff
+        first = False
+        pos = match.end()
+    if first:
+        raise GroupSpecError("empty element expression")
+    return VirtualElement(total)
 
 
 def lj_by_terms(terms: dict, d: int, tag=lambda t: t) -> dict:

@@ -28,7 +28,7 @@ from innerforms.grothendieck import (
     tensor_lj,
     zero,
 )
-from oracles import lj_by_terms
+from oracles import lj_by_terms, parse_virtual_by_terms
 
 
 def elem(comp, tags, side=None):
@@ -287,6 +287,40 @@ def test_parse_matches_termwise_sum(pairs):
     ).lstrip("+ ")
     expected = reduce(lambda acc, ce: acc + VirtualElement.of(ce[1], ce[0]), pairs, zero())
     assert parse_virtual(text) == expected
+
+
+GRAMMAR_CHARS = "0123456789(),:+-* ab_'"
+
+
+@st.composite
+def term_texts(draw):
+    """A rendered element, then up to three edits from the grammar's alphabet."""
+    pairs = draw(term_lists())
+    text = VirtualElement({e: c for c, e in pairs}).render()
+    if text != "0" and draw(st.booleans()):  # a zero block, with its tag, in the first term
+        text = text.replace("(", "(0,", 1).replace(":", ":z,", 1)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        char = draw(st.sampled_from(GRAMMAR_CHARS))
+        text = draw(st.sampled_from([text[:at] + char + text[at:], text[:at] + char + text[at + 1:],
+                                     text[:at] + text[at + 1:]]))
+    return text
+
+
+def parse_outcome(parse, text, n):
+    try:
+        element = parse(text, n=n)
+    except GroupSpecError as exc:
+        return "error", str(exc)
+    return "ok", element, element.render()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(term_texts(), st.one_of(st.none(), st.integers(0, 7)))
+def test_parse_matches_fully_checked_oracle_on_valid_and_corrupted_texts(text, n):
+    # the parser skips the checks it has made; the oracle builds every term
+    # through the public constructor: same verdict, same element, same message
+    assert parse_outcome(parse_virtual, text, n) == parse_outcome(parse_virtual_by_terms, text, n)
 
 
 def test_render_zero():

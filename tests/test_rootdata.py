@@ -33,6 +33,7 @@ from oracles import (
     cofactor_det,
     dense_cokernel_invariants,
     random_unimodular,
+    symmetrizer_by_fractions,
     validate_cartan_dense,
 )
 
@@ -562,6 +563,42 @@ def test_symmetrizer_symmetrizes_cartan(tag, params, expected):
     assert d == expected
     k = datum.semisimple_rank
     assert all(d[i] * cartan[i][j] == d[j] * cartan[j][i] for i in range(k) for j in range(k))
+
+
+# every parametric catalog tag, with the parameters of semisimple rank r
+CATALOG_AT_RANK = {
+    "GL": lambda r: [r + 1], "SL": lambda r: [r + 1], "PGL": lambda r: [r + 1],
+    "Sp": lambda r: [2 * r], "GSp": lambda r: [2 * r], "Spin": lambda r: [2 * r + 1],
+    "GSpin": lambda r: [2 * r], "SO": lambda r: [2 * r],
+}
+
+
+def catalog_up_to_rank(top: int):
+    for tag, params_at in CATALOG_AT_RANK.items():
+        for r in range(1, top + 1):
+            try:
+                yield build_catalog_group(tag, params_at(r))
+            except GroupSpecError:  # e.g. SO(2) or GSpin(2): outside the tag's domain
+                continue
+    for tag in ("E6sc", "E7sc", "E8", "F4", "G2"):
+        yield build_catalog_group(tag, [])
+
+
+def test_integer_symmetrizer_matches_rational_oracle_on_catalog():
+    data = list(catalog_up_to_rank(40))
+    assert len(data) > 300
+    for datum in data:
+        assert datum.symmetrizer == symmetrizer_by_fractions(datum), datum.name
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([("G2", []), ("F4", []), ("Sp", [6]), ("Spin", [7]), ("GL", [3]),
+                                 ("E6sc", []), ("GSp", [4]), ("SO", [8]), ("GL", [1])]),
+                min_size=2, max_size=4))
+def test_integer_symmetrizer_matches_rational_oracle_on_products(specs):
+    # components with different scales share one lcm, as the oracle's
+    datum = datum_product([build_catalog_group(tag, params) for tag, params in specs])
+    assert datum.symmetrizer == symmetrizer_by_fractions(datum)
 
 
 def test_dual_datum_involution():
