@@ -470,9 +470,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GroupParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except GroupSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -370,9 +370,9 @@ class BasedRootDatum(Record):
 
     The pairing <alpha_j, alpha_i^vee> is the plain dot product; validation
     checks that it forms a classifiable Cartan matrix.  The Cartan matrix,
-    the Dynkin adjacency, the component layouts and type, and pi_1 are
-    computed once per instance (``cartan``, ``neighbours``, ``layouts``,
-    ``dynkin_type``, ``pi1``);
+    the Dynkin adjacency, the component layouts, the positive roots, the type
+    and pi_1 are computed once per instance (``cartan``, ``neighbours``,
+    ``layouts``, ``positive_roots``, ``dynkin_type``, ``pi1``);
     ``cartan_matrix()`` and ``adjacency()`` hand out copies.
     """
 
@@ -460,6 +460,41 @@ class BasedRootDatum(Record):
         return tuple(
             component_layout(cartan, neighbours, comp) for comp in dynkin_components(neighbours)
         )
+
+    @cached_property
+    def positive_roots(self) -> tuple[tuple[Vector, Vector], ...]:
+        """Positive roots as (simple-root coordinates, lattice vector), by coordinates.
+
+        Every positive root is reached from a simple root by reflections that
+        raise the height, s_j(beta) = beta - <beta, alpha_j^vee> alpha_j with a
+        negative pairing, and such a reflection never leaves the positive roots.
+        Each lattice vector adds that multiple of alpha_j's nonzero entries.
+        """
+        k = self.semisimple_rank
+        # <alpha_i, alpha_j^vee> = C[j][i], nonzero entries only
+        rows = [(j, [(i, c) for i, c in enumerate(self.cartan[j]) if c]) for j in range(k)]
+        entries = [
+            [(t, root[t]) for t in compress(range(self.rank), root)] for root in self.simple_roots
+        ]
+        frontier = [tuple(1 if i == s else 0 for i in range(k)) for s in range(k)]
+        roots = dict(zip(frontier, self.simple_roots))
+        while frontier:
+            new = []
+            for r in frontier:
+                for j, row in rows:
+                    pairing = sum(r[i] * c for i, c in row)
+                    if pairing < 0:
+                        image = list(r)
+                        image[j] -= pairing
+                        image = tuple(image)
+                        if image not in roots:
+                            vec = list(roots[r])
+                            for t, x in entries[j]:
+                                vec[t] -= pairing * x
+                            roots[image] = tuple(vec)
+                            new.append(image)
+            frontier = new
+        return tuple(sorted(roots.items()))
 
     @cached_property
     def dynkin_type(self) -> DynkinType:

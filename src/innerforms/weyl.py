@@ -2,9 +2,12 @@
 
 Roots are manipulated in simple-root coordinates (integer vectors indexed by
 Delta), so positivity is coordinatewise nonnegativity and every reflection
-is Cartan-matrix arithmetic.  Weyl group orders come from the parabolic
-orbit recursion; ``weyl_group_order`` keeps its documented bound of
-semisimple rank 6.
+is Cartan-matrix arithmetic.  The positive roots come from the datum, which
+computes them once (``BasedRootDatum.positive_roots``).  Weyl group orders
+come from the parabolic orbit recursion; ``weyl_group_order`` keeps its
+documented bound of semisimple rank 6.  ``find_w_theta``, ``reduced_roots``
+and ``rank_one_decomposition`` refuse data above lattice rank
+:data:`MAX_WEYL_RANK`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from math import gcd
 from operator import mul
 
 from ._record import Record
-from .errors import DatumError, EnumerationLimitError
+from .errors import DatumError, EnumerationLimitError, GroupSpecError
 from .rootdata import (
     BasedRootDatum,
     DynkinType,
@@ -27,6 +30,19 @@ from .rootdata import (
 )
 
 ENUMERATION_RANK_BOUND = 6
+
+#: Largest lattice rank the Weyl layer accepts.  Sp(128) and Spin(129), with
+#: 4,096 positive roots, are the largest admitted root systems.
+MAX_WEYL_RANK = 64
+
+
+def _check_weyl_rank(datum: BasedRootDatum) -> None:
+    """Raise GroupSpecError above :data:`MAX_WEYL_RANK`, before any root is generated."""
+    if datum.rank > MAX_WEYL_RANK:
+        raise GroupSpecError(
+            f"{datum.name or 'datum'} has lattice rank {datum.rank}, above the Weyl-layer"
+            f" limit of {MAX_WEYL_RANK}"
+        )
 
 
 class WeylWord(Record):
@@ -54,54 +70,10 @@ class RestrictedRoot(Record):
     preimages: tuple[Vector, ...]
 
     def __post_init__(self):
-        g = 0
-        for x in self.direction:
-            g = gcd(g, x)
-        if g != 1:
+        if gcd(*self.direction) != 1:
             raise DatumError(f"direction {self.direction} is not primitive")
         if not self.preimages:
             raise DatumError("restricted root with no preimages")
-
-
-# ---------------------------------------------------------------------------
-# root generation in simple-root coordinates
-
-
-def positive_roots_coords(datum: BasedRootDatum) -> list[Vector]:
-    """Positive roots, as coordinates on Delta.
-
-    Every positive root is reached from a simple root by reflections that
-    raise the height, s_j(beta) = beta - <beta, alpha_j^vee> alpha_j with a
-    negative pairing, and such a reflection never leaves the positive roots.
-    """
-    k = datum.semisimple_rank
-    cartan = datum.cartan
-    # <alpha_i, alpha_j^vee> = C[j][i], nonzero entries only
-    rows = [(j, [(i, c) for i, c in enumerate(cartan[j]) if c]) for j in range(k)]
-    frontier = [tuple(1 if i == s else 0 for i in range(k)) for s in range(k)]
-    roots = set(frontier)
-    while frontier:
-        new = []
-        for r in frontier:
-            for j, row in rows:
-                pairing = sum(r[i] * c for i, c in row)
-                if pairing < 0:
-                    image = list(r)
-                    image[j] -= pairing
-                    image = tuple(image)
-                    if image not in roots:
-                        roots.add(image)
-                        new.append(image)
-        frontier = new
-    return sorted(roots)
-
-
-def coords_to_vector(datum: BasedRootDatum, coords: Vector) -> Vector:
-    out = [0] * datum.rank
-    for c, root in zip(coords, datum.simple_roots):
-        for i in range(datum.rank):
-            out[i] += c * root[i]
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -176,79 +148,39 @@ def _fundamental_orbit_size(cartan, nodes: list[int], s: int) -> int:
 # longest elements and the representative mapping theta into Delta
 
 
-class _CoordAction:
-    """A Weyl element as its matrix on simple-root coordinates (columns = images)."""
-
-    __slots__ = ("cartan", "cols")
-
-    def __init__(self, cartan):
-        self.cartan = cartan
-        k = len(cartan)
-        self.cols = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
-
-    def right_multiply(self, j: int) -> None:
-        # (w s_j)(alpha_i) = w(alpha_i) - C[j][i] w(alpha_j) for every i
-        old = self.cols[j]
-        k = len(self.cartan)
-        for i in range(k):
-            c = self.cartan[j][i]
-            if c:
-                self.cols[i] = tuple(x - c * y for x, y in zip(self.cols[i], old))
-
-    def image(self, coords: Vector) -> Vector:
-        k = len(self.cartan)
-        out = [0] * k
-        for i, c in enumerate(coords):
-            if c:
-                for t in range(k):
-                    out[t] += c * self.cols[i][t]
-        return tuple(out)
+def _right_multiply(cartan, cols: list[Vector], j: int) -> None:
+    # (w s_j)(alpha_i) = w(alpha_i) - C[j][i] w(alpha_j) for every i
+    old = cols[j]
+    for i, c in enumerate(cartan[j]):
+        if c:
+            cols[i] = tuple(x - c * y for x, y in zip(cols[i], old))
 
 
-def longest_word(datum: BasedRootDatum, subset) -> WeylWord:
-    """Reduced word for the longest element of the parabolic subgroup W_subset.
+def _greedy_longest(datum: BasedRootDatum, subset) -> tuple[list[Vector], list[int]]:
+    """The longest element of W_subset: its columns w(alpha_j), in simple-root
+    coordinates, and a reduced word.
 
     Greedy exchange: while some simple root of the subset is kept positive,
     multiply by that reflection on the right (least index first).  The word
     length equals the number of positive roots of the subsystem.
     """
-    subset = sorted(set(subset))
-    cartan = datum.cartan
-    w = _CoordAction(cartan)
+    k = datum.semisimple_rank
+    cols = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
     word: list[int] = []
     while True:
-        chosen = -1
         for j in subset:
-            if all(c >= 0 for c in w.cols[j]):
-                chosen = j
+            if min(cols[j]) >= 0:
                 break
-        if chosen < 0:
-            break
-        w.right_multiply(chosen)
-        word.append(chosen)
+        else:
+            return cols, word
+        _right_multiply(datum.cartan, cols, j)
+        word.append(j)
+
+
+def longest_word(datum: BasedRootDatum, subset) -> WeylWord:
+    """Reduced word for the longest element of the parabolic subgroup W_subset."""
+    _, word = _greedy_longest(datum, sorted(set(subset)))
     return WeylWord(tuple(word))
-
-
-def word_action(datum: BasedRootDatum, word: WeylWord) -> _CoordAction:
-    """Action of the word (applied as s_{i1} o s_{i2} o ... o s_{ik}) on root coordinates."""
-    action = _CoordAction(datum.cartan)
-    for letter in word.letters:
-        action.right_multiply(letter)
-    return action
-
-
-def word_matrix(datum: BasedRootDatum, word: WeylWord):
-    """Matrix of the word on the character lattice (rightmost letter acts first)."""
-    n = datum.rank
-    mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for letter in reversed(word.letters):
-        root = datum.simple_roots[letter]
-        coroot = datum.simple_coroots[letter]
-        pair_rows = [sum(coroot[t] * mat[t][j] for t in range(n)) for j in range(n)]
-        mat = [
-            [mat[i][j] - root[i] * pair_rows[j] for j in range(n)] for i in range(n)
-        ]
-    return mat
 
 
 def find_w_theta(datum: BasedRootDatum, theta) -> tuple[WeylWord, tuple[int, ...]]:
@@ -256,27 +188,27 @@ def find_w_theta(datum: BasedRootDatum, theta) -> tuple[WeylWord, tuple[int, ...
 
     Returns the word and the image subset (0-based indices into Delta), after
     verifying by explicit action that every root of theta lands on a simple
-    root.
+    root: the columns built for w_{l,Delta} are right-multiplied by the
+    letters of w_{l,theta}.
     """
+    _check_weyl_rank(datum)
     theta = sorted(set(theta))
     k = datum.semisimple_rank
     if any(t < 0 or t >= k for t in theta):
         raise DatumError(f"theta {theta} out of range for {k} simple roots")
-    w_long_full = longest_word(datum, range(k))
-    w_long_theta = longest_word(datum, theta)
-    word = WeylWord(w_long_full.letters + w_long_theta.letters)
-
-    action = word_action(datum, word)
+    cols, letters = _greedy_longest(datum, range(k))
+    _, theta_letters = _greedy_longest(datum, theta)
+    for letter in theta_letters:
+        _right_multiply(datum.cartan, cols, letter)
     image = []
     for t in theta:
-        img = action.cols[t]
-        support = [i for i, c in enumerate(img) if c != 0]
-        if len(support) != 1 or img[support[0]] != 1:
+        img = cols[t]
+        if min(img) < 0 or sum(img) != 1:
             raise DatumError(
                 f"w(alpha_{t}) = {img} is not a simple root; construction violated"
             )
-        image.append(support[0])
-    return word, tuple(sorted(image))
+        image.append(img.index(1))
+    return WeylWord(tuple(letters + theta_letters)), tuple(sorted(image))
 
 
 # ---------------------------------------------------------------------------
@@ -290,48 +222,49 @@ def split_component_basis(datum: BasedRootDatum, theta) -> list[Vector]:
 
 
 def _primitive(v: Vector) -> Vector:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return tuple(x // g for x in v) if g else v
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else v
 
 
 def _restricted_classes(datum: BasedRootDatum, theta):
-    """Positive roots (simple-root coordinates) sorted by their restriction to A_M.
+    """The positive roots off theta, grouped by their restriction to A_M.
 
-    Returns the roots of theta (restriction zero) and, per reduced root in
-    direction order, the pair (RestrictedRoot, coordinates of its preimages).
+    The restrictions of the alpha_i with i not in theta are linearly
+    independent, since X^*(A_M)_Q = X^*(T)_Q / span(theta).  So two roots
+    restrict to positive multiples of one direction exactly when their
+    coefficient patterns off theta are proportional: each class is keyed by
+    that primitive pattern, and its direction is the primitive restriction of
+    one member's lattice vector.  Returns, in direction order, the pairs
+    (RestrictedRoot, simple-root coordinates of its preimages).
     """
     theta_set = set(theta)
-    basis = split_component_basis(datum, theta)
-    inside: list[Vector] = []
+    off = [i for i in range(datum.semisimple_rank) if i not in theta_set]
     classes: dict[Vector, list[tuple[Vector, Vector]]] = {}
-    for coords in positive_roots_coords(datum):
-        if all(c == 0 or i in theta_set for i, c in enumerate(coords)):
-            inside.append(coords)
-            continue
-        vec = coords_to_vector(datum, coords)
-        restriction = tuple(sum(a * b for a, b in zip(vec, col)) for col in basis)
-        classes.setdefault(_primitive(restriction), []).append((coords, vec))
-    pairs = [
-        (
-            RestrictedRoot(key, tuple(sorted(v for _, v in classes[key]))),
-            [c for c, _ in classes[key]],
-        )
-        for key in sorted(classes)
-    ]
-    return inside, pairs
+    for coords, vec in datum.positive_roots:
+        pattern = _primitive(tuple(coords[i] for i in off))
+        if any(pattern):
+            classes.setdefault(pattern, []).append((coords, vec))
+    basis = split_component_basis(datum, theta)
+    pairs = []
+    for members in classes.values():
+        vec = members[0][1]
+        direction = _primitive(tuple(sum(map(mul, vec, col)) for col in basis))
+        preimages = tuple(sorted(v for _, v in members))
+        pairs.append((RestrictedRoot(direction, preimages), [c for c, _ in members]))
+    pairs.sort(key=lambda pair: pair[0].direction)
+    return pairs
 
 
 def reduced_roots(datum: BasedRootDatum, theta) -> list[RestrictedRoot]:
     """The reduced roots of P_theta with respect to A_M.
 
-    Positive roots not supported on theta are restricted to A_M-coordinates
-    and grouped by positive-rational proportionality (alpha and 2 alpha
-    collapse into one class).  The classes partition the restricted roots.
+    Positive roots not supported on theta are grouped by positive-rational
+    proportionality of their restrictions to A_M (alpha and 2 alpha collapse
+    into one class).  The classes partition the restricted roots.  Raises
+    GroupSpecError above lattice rank :data:`MAX_WEYL_RANK`.
     """
-    _, pairs = _restricted_classes(datum, theta)
-    return [rr for rr, _ in pairs]
+    _check_weyl_rank(datum)
+    return [rr for rr, _ in _restricted_classes(datum, theta)]
 
 
 def rank_one_decomposition(
@@ -341,23 +274,29 @@ def rank_one_decomposition(
 
     A_alpha is the identity component of (ker alpha) inside A_M; its
     centralizer is the subsystem of roots vanishing on A_alpha, classified
-    together with the ambient torus rank.  A root vanishes on A_alpha exactly
-    when its restriction to A_M is a rational multiple of alpha, so the
-    positive members are theta's roots plus the preimages of alpha; its
-    simple roots are the members that are not a sum of two members.  A sum
-    lands among the preimages only if one summand is a preimage, and the
-    roots of theta that are not sums are the simple roots of theta.
+    together with the ambient torus rank.  Its positive roots are theta's
+    roots plus the preimages of alpha, and its simple roots are theta's simple
+    roots plus the lowest (least-height) preimage.  The preimages with one
+    off-theta pattern form an irreducible M_theta-module (Azad-Barry-Seitz,
+    Comm. Algebra 18, 1990), so each is the lowest one plus simple roots of
+    theta, and the subsystem has rank |theta| + 1.  Directly: the lowest
+    preimage is no sum of two members, whose patterns would be 0 and its own;
+    simple roots are independent, so it is unique and there is no other.
+
+    >>> from innerforms.rootdata import build_catalog_group
+    >>> [(rr, m_alpha)] = rank_one_decomposition(build_catalog_group("Sp", [6]), (1, 2))
+    >>> rr.preimages
+    ((1, -1, 0), (1, 0, -1), (1, 0, 1), (1, 1, 0), (2, 0, 0))
+    >>> str(m_alpha)
+    'C3'
     """
-    inside, pairs = _restricted_classes(datum, theta)
-    theta_simples = [c for c in inside if sum(c) == 1]
-    out = []
-    for rr, preimages in pairs:
-        sums = {
-            tuple(x + y for x, y in zip(a, b)) for a in inside + preimages for b in preimages
-        }
-        simples = theta_simples + [c for c in preimages if c not in sums]
-        out.append((rr, subsystem_type(datum, simples)))
-    return out
+    _check_weyl_rank(datum)
+    k = datum.semisimple_rank
+    theta_simples = [tuple(int(i == t) for i in range(k)) for t in sorted(set(theta))]
+    return [
+        (rr, subsystem_type(datum, theta_simples + [min(preimages, key=sum)]))
+        for rr, preimages in _restricted_classes(datum, theta)
+    ]
 
 
 def subsystem_type(datum: BasedRootDatum, simple_coords: list[Vector]) -> DynkinType:

@@ -28,7 +28,7 @@ from innerforms.rootdata import (
     smith_normal_form,
 )
 from innerforms.satake import _tokenize_chain
-from innerforms.weyl import coords_to_vector
+from innerforms.weyl import RestrictedRoot, WeylWord, split_component_basis
 
 
 def cofactor_det(m) -> int:
@@ -453,3 +453,119 @@ def parse_component_by_series_rules(block: str) -> tuple[str, int, list[int]]:
     if hanging_color:
         positions.append(1)
     return ("E", k, sorted(positions))
+
+
+# ---------------------------------------------------------------------------
+# the Weyl layer by its first construction: dense root vectors, a restriction
+# per root, simple roots by pairwise sums, and words replayed letter by letter
+
+
+def coords_to_vector(datum, coords):
+    """Lattice vector of the root with the given simple-root coordinates, densely."""
+    out = [0] * datum.rank
+    for c, root in zip(coords, datum.simple_roots):
+        for i in range(datum.rank):
+            out[i] += c * root[i]
+    return tuple(out)
+
+
+def positive_roots_by_closure(datum) -> list:
+    """Positive roots in simple-root coordinates, sorted, from the reflection closure."""
+    return sorted(r for r in roots_by_closure(datum.cartan_matrix()) if min(r) >= 0)
+
+
+def _right_multiply(cartan, cols, j) -> None:
+    # (w s_j)(alpha_i) = w(alpha_i) - C[j][i] w(alpha_j) for every i
+    old = cols[j]
+    for i, c in enumerate(cartan[j]):
+        if c:
+            cols[i] = tuple(x - c * y for x, y in zip(cols[i], old))
+
+
+def word_action(datum, word) -> list:
+    """Columns w(alpha_j), in simple-root coordinates, of s_{i1} o s_{i2} o ... o s_{ik}."""
+    k = datum.semisimple_rank
+    cols = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    for letter in word.letters:
+        _right_multiply(datum.cartan, cols, letter)
+    return cols
+
+
+def word_matrix(datum, word):
+    """Matrix of the word on the character lattice (rightmost letter acts first)."""
+    n = datum.rank
+    mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for letter in reversed(word.letters):
+        root = datum.simple_roots[letter]
+        coroot = datum.simple_coroots[letter]
+        pair_rows = [sum(coroot[t] * mat[t][j] for t in range(n)) for j in range(n)]
+        mat = [
+            [mat[i][j] - root[i] * pair_rows[j] for j in range(n)] for i in range(n)
+        ]
+    return mat
+
+
+def longest_word_by_greedy(datum, subset) -> tuple:
+    """Greedy reduced word of the longest element of W_subset (least index first)."""
+    k = datum.semisimple_rank
+    cols = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    word = []
+    while True:
+        j = next((j for j in sorted(subset) if all(c >= 0 for c in cols[j])), None)
+        if j is None:
+            return tuple(word)
+        _right_multiply(datum.cartan, cols, j)
+        word.append(j)
+
+
+def find_w_theta_by_replay(datum, theta):
+    """w_{l,Delta} w_{l,theta} and the image of theta, by replaying the whole word."""
+    theta = sorted(set(theta))
+    word = WeylWord(
+        longest_word_by_greedy(datum, range(datum.semisimple_rank))
+        + longest_word_by_greedy(datum, theta)
+    )
+    cols = word_action(datum, word)
+    image = []
+    for t in theta:
+        support = [i for i, c in enumerate(cols[t]) if c]
+        assert len(support) == 1 and cols[t][support[0]] == 1, cols[t]
+        image.append(support[0])
+    return word, tuple(sorted(image))
+
+
+def restricted_classes_by_restriction(datum, theta) -> list:
+    """(RestrictedRoot, preimage coordinates) per reduced root, in direction order.
+
+    Every positive root off theta is expanded densely, restricted to A_M
+    through ``split_component_basis`` and keyed by its primitive restriction.
+    """
+    basis = split_component_basis(datum, theta)
+    classes: dict = {}
+    for coords in positive_roots_by_closure(datum):
+        if all(c == 0 or i in theta for i, c in enumerate(coords)):
+            continue
+        vec = coords_to_vector(datum, coords)
+        restriction = [sum(a * b for a, b in zip(vec, col)) for col in basis]
+        g = gcd(*restriction)
+        classes.setdefault(tuple(x // g for x in restriction), []).append((coords, vec))
+    return [
+        (RestrictedRoot(key, tuple(sorted(v for _, v in classes[key]))), [c for c, _ in classes[key]])
+        for key in sorted(classes)
+    ]
+
+
+def rank_one_by_pairwise_sums(datum, theta) -> list:
+    """Each reduced root with the type of M_alpha, whose simple roots are the
+    members that are not a sum of two members, typed through a sub-datum."""
+    inside = [
+        c for c in positive_roots_by_closure(datum)
+        if all(x == 0 or i in theta for i, x in enumerate(c))
+    ]
+    out = []
+    for rr, preimages in restricted_classes_by_restriction(datum, theta):
+        members = inside + preimages
+        sums = {tuple(x + y for x, y in zip(a, b)) for a in members for b in members}
+        simples = [c for c in members if c not in sums]
+        out.append((rr, subsystem_type_by_subdatum(datum, simples)))
+    return out

@@ -41,13 +41,16 @@ from innerforms.rootdata import (
     fundamental_group,
 )
 from innerforms.weyl import (
-    coords_to_vector,
     find_w_theta,
-    positive_roots_coords,
     reduced_roots,
     weyl_group_order,
 )
-from oracles import cartan_determinant_closed_form, cofactor_det, count_square_roots
+from oracles import (
+    cartan_determinant_closed_form,
+    cofactor_det,
+    coords_to_vector,
+    count_square_roots,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -289,7 +292,7 @@ def test_criterion_cross_module_consistency(capsys):
             preimages = list(classes[0].preimages)
             expected = [
                 coords_to_vector(datum, c)
-                for c in positive_roots_coords(datum)
+                for c, _ in datum.positive_roots
                 if not {i for i, x in enumerate(c) if x} <= set(theta)
             ]
             assert sorted(preimages) == sorted(expected)

@@ -137,6 +137,18 @@ def test_place_cap_is_a_usage_error(capsys):
     assert err == "error: 1000000000 places requested, above the limit of 4096\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("weyl", "GL(65)"), ("weyl", "Sp(130)", "--remove", "a1"), ("weyl", "GL(1024)", "--json")],
+)
+def test_weyl_rank_cap_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "above the Weyl-layer limit of 64" in err
+    assert "Traceback" not in err
+
+
 def test_weyl_json(capsys):
     code, payload = run_json(capsys, "weyl", "SL(3)", "--theta", "0")
     assert code == 0

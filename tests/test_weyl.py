@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from innerforms import weyl
-from innerforms.errors import DatumError, EnumerationLimitError
+from innerforms.errors import DatumError, EnumerationLimitError, GroupSpecError
 from innerforms.levi import LeviDescriptor, levi_datum
 from innerforms.rootdata import (
     build_catalog_group,
@@ -16,25 +16,29 @@ from innerforms.rootdata import (
 )
 from innerforms.weyl import (
     WeylWord,
-    coords_to_vector,
     find_w_theta,
     orbit_product_order,
-    positive_roots_coords,
     rank_one_decomposition,
     reduced_roots,
     subsystem_type,
     weyl_group_order,
-    word_matrix,
 )
 from oracles import (
+    coords_to_vector,
     coroot_of,
+    find_w_theta_by_replay,
     positive_root_count,
+    positive_roots_by_closure,
     proportional_positive,
+    rank_one_by_pairwise_sums,
     rational_kernel,
+    restricted_classes_by_restriction,
     roots_by_closure,
     subsystem_type_by_subdatum,
     weyl_order_by_closure,
     weyl_order_closed_form,
+    word_action,
+    word_matrix,
 )
 
 ORDER_CASES = [
@@ -103,7 +107,7 @@ def test_weyl_order_bound():
 def test_root_generation_matches_reflection_closure(series, rank):
     datum = simply_connected_datum(series, rank)
     roots = roots_by_closure(datum.cartan_matrix())
-    positives = positive_roots_coords(datum)
+    positives = [coords for coords, _ in datum.positive_roots]
     assert set(positives) == {r for r in roots if all(c >= 0 for c in r)}
     assert len(positives) == positive_root_count(series, rank)
 
@@ -114,7 +118,7 @@ def test_root_generation_on_levi_subsystems(subset):
     datum = build_catalog_group("E8", [])
     levi = levi_datum(LeviDescriptor(datum, tuple(subset)))
     expected = sum(positive_root_count(s, r) for s, r in classify(levi).components)
-    assert len(positive_roots_coords(levi)) == expected
+    assert len(levi.positive_roots) == expected
 
 
 @pytest.mark.parametrize("tag,params", [("GL", [5]), ("GSp", [8]), ("GSpin", [9]), ("Spin", [4])])
@@ -226,7 +230,7 @@ def oracle_reduced_root_count(datum, theta):
     rows = [list(datum.simple_roots[t]) for t in theta]
     basis = rational_kernel(rows, datum.rank)
     classes = []
-    for coords in positive_roots_coords(datum):
+    for coords, _ in datum.positive_roots:
         if {i for i, c in enumerate(coords) if c} <= set(theta):
             continue
         vec = coords_to_vector(datum, coords)
@@ -276,7 +280,7 @@ def test_reduced_roots_partition_and_nonproportional_maximal_theta():
             assert oracle_reduced_root_count(datum, theta) == 1
             expected = [
                 coords_to_vector(datum, c)
-                for c in positive_roots_coords(datum)
+                for c, _ in datum.positive_roots
                 if not {i for i, x in enumerate(c) if x} <= set(theta)
             ]
             assert sorted(rr[0].preimages) == sorted(expected)
@@ -291,7 +295,7 @@ def test_reduced_roots_partition_random_theta():
             seen.extend(r.preimages)
         expected = [
             coords_to_vector(datum, c)
-            for c in positive_roots_coords(datum)
+            for c, _ in datum.positive_roots
             if not {i for i, x in enumerate(c) if x} <= set(theta)
         ]
         assert sorted(seen) == sorted(expected)
@@ -364,7 +368,7 @@ def test_rank_one_types_match_kernel_oracle(tag, params, theta):
     # members of M_alpha straight from the definition: the positive roots
     # vanishing on the rational kernel of theta's roots and one preimage
     datum = build_catalog_group(tag, params)
-    positives = [coords_to_vector(datum, c) for c in positive_roots_coords(datum)]
+    positives = [coords_to_vector(datum, c) for c, _ in datum.positive_roots]
     theta_rows = [list(datum.simple_roots[t]) for t in theta]
     decomposition = rank_one_decomposition(datum, theta)
     assert [rr for rr, _ in decomposition] == reduced_roots(datum, theta)
@@ -380,17 +384,17 @@ def test_rank_one_types_match_kernel_oracle(tag, params, theta):
 
 
 def test_longest_word_properties():
-    from innerforms.weyl import longest_word, word_action
+    from innerforms.weyl import longest_word
 
     for tag, params in [("SL", [4]), ("Sp", [6]), ("Spin", [8]), ("G2", []), ("F4", [])]:
         datum = build_catalog_group(tag, params)
         k = datum.semisimple_rank
-        positives = positive_roots_coords(datum)
+        positives = [coords for coords, _ in datum.positive_roots]
         word = longest_word(datum, range(k))
         assert len(word) == len(positives)
-        action = word_action(datum, word)
+        cols = word_action(datum, word)
         for coords in positives:
-            image = action.image(coords)
+            image = [sum(c * col[t] for c, col in zip(coords, cols)) for t in range(k)]
             assert all(c <= 0 for c in image)
 
 
@@ -409,11 +413,11 @@ def test_subsystem_coroots_normalized():
     # integers against all roots of the ambient system
     for tag, params in [("Sp", [8]), ("Spin", [9]), ("F4", []), ("G2", []), ("Spin", [12])]:
         datum = build_catalog_group(tag, params)
-        for coords in positive_roots_coords(datum):
+        for coords, _ in datum.positive_roots:
             root = coords_to_vector(datum, coords)
             coroot = coroot_of(datum, coords)
             assert sum(a * b for a, b in zip(root, coroot)) == 2
-            for other in positive_roots_coords(datum):
+            for other, _ in datum.positive_roots:
                 vec = coords_to_vector(datum, other)
                 pairing = sum(a * b for a, b in zip(vec, coroot))
                 assert -3 <= pairing <= 3 or vec == root
@@ -473,3 +477,66 @@ def test_torus_edge_cases():
 def test_weyl_word_validation():
     with pytest.raises(Exception):
         WeylWord((-1,))
+
+
+# ---------------------------------------------------------------------------
+# the Weyl layer against its first construction: a restriction per root and
+# rank-one simples by pairwise sums (tests/oracles.py)
+
+
+def check_first_construction(datum, theta):
+    theta = tuple(theta)
+    assert find_w_theta(datum, theta) == find_w_theta_by_replay(datum, theta)
+    expected = rank_one_by_pairwise_sums(datum, theta)
+    assert reduced_roots(datum, theta) == [rr for rr, _ in expected]
+    assert rank_one_decomposition(datum, theta) == expected
+    for _, preimages in restricted_classes_by_restriction(datum, theta):
+        heights = [sum(c) for c in preimages]
+        assert heights.count(min(heights)) == 1, f"two lowest roots in {preimages}"
+
+
+def check_positive_roots(datum):
+    coords = [c for c, _ in datum.positive_roots]
+    assert coords == positive_roots_by_closure(datum)
+    assert all(vec == coords_to_vector(datum, c) for c, vec in datum.positive_roots)
+    expected = sum(positive_root_count(s, r) for s, r in classify(datum).components)
+    assert len(datum.positive_roots) == expected
+
+
+@pytest.mark.parametrize("tag,params", CATALOG_RANK6, ids=lambda x: str(x))
+def test_weyl_layer_equals_first_construction_on_every_theta(tag, params):
+    datum = build_catalog_group(tag, params)
+    check_positive_roots(datum)
+    for theta in all_subsets(datum.semisimple_rank):
+        check_first_construction(datum, theta)
+
+
+SAMPLED = (
+    [(("E6sc", []),), (("E7sc", []),), (("E8", []),), (("F4", []),), (("G2", []),)]
+    + [((tag, [n]),) for tag, n in (("GL", 9), ("SL", 9), ("PGL", 9), ("Sp", 14), ("Sp", 16))]
+    + [((tag, [n]),) for tag, n in (("GSp", 14), ("Spin", 15), ("Spin", 17), ("Spin", 16))]
+    + [((tag, [n]),) for tag, n in (("GSpin", 15), ("GSpin", 16), ("SO", 14), ("SO", 16))]
+    + [(("G2", []), ("Sp", [6])), (("F4", []), ("SL", [3]))]
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(SAMPLED), st.sets(st.integers(0, 7)))
+def test_weyl_layer_equals_first_construction_on_sampled_theta(factors, subset):
+    data = [build_catalog_group(tag, params) for tag, params in factors]
+    datum = data[0] if len(data) == 1 else datum_product(data)
+    check_positive_roots(datum)
+    check_first_construction(datum, [t for t in subset if t < datum.semisimple_rank])
+
+
+def test_weyl_layer_refuses_above_rank_limit():
+    assert weyl.MAX_WEYL_RANK == 64
+    for call in (find_w_theta, reduced_roots, rank_one_decomposition):
+        datum = build_catalog_group("GL", [65])
+        with pytest.raises(GroupSpecError, match="above the Weyl-layer limit of 64"):
+            call(datum, ())
+        assert "positive_roots" not in datum.__dict__
+    # lattice rank 64 is admitted
+    datum = build_catalog_group("GL", [64])
+    assert reduced_roots(datum, range(63)) == []
+    assert len(datum.positive_roots) == 63 * 64 // 2
