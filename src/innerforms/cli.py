@@ -20,7 +20,8 @@ if TYPE_CHECKING:  # annotations only: each command imports the layers it runs
     from .globalize import HasseVector
     from .rootdata import BasedRootDatum
 
-_GROUP_TOKEN = re.compile(r"(?P<tag>[A-Za-z][A-Za-z0-9]*)(?:\((?P<args>[^)]*)\))?")
+# no catalog tag contains an x, so a tag stops before the x of a product
+_GROUP_TOKEN = re.compile(r"(?P<tag>[A-Za-wyz][A-Za-wyz0-9]*)(?:\((?P<args>[^)]*)\))?")
 _PARAMETRIC_TAGS = {"GL", "SL", "PGL", "Sp", "GSp", "Spin", "GSpin", "SO"}
 
 
@@ -245,7 +246,8 @@ def _cmd_weyl(args) -> int:
             for r in rr
         ],
     }
-    _emit(args, payload, json.dumps(payload, indent=2, sort_keys=True))
+    # the text form is the same JSON, ASCII-escaped: encode only what is printed
+    print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=not args.json))
     return 0
 
 
@@ -389,6 +391,8 @@ def _cmd_division_algebra(args) -> int:
 
 def _cmd_lj(args) -> int:
     from .grothendieck import lj_map, parse_virtual
+    if args.n < 1 or args.d < 1:
+        raise GroupSpecError(f"lj needs --n and --d of at least 1, got {args.n} and {args.d}")
     text = args.element
     if text is None or text == "-":
         text = sys.stdin.read()

@@ -59,13 +59,34 @@ class LeviReport(Record):
 
 
 def levi_datum(desc: LeviDescriptor) -> BasedRootDatum:
-    """Sub-root-datum of the Levi: same lattices, simple roots restricted to theta."""
-    amb = desc.ambient
-    return BasedRootDatum(
+    """Sub-root-datum of the Levi: same lattices, simple roots restricted to theta.
+
+    It inherits the ambient invariants without revalidation: its Cartan
+    matrix is the ambient one restricted to theta (a principal submatrix, so
+    of finite type), and its layouts are the ambient walker's layouts of
+    theta's components, renumbered in order through the sorted theta.
+    """
+    amb, theta = desc.ambient, desc.theta
+    cartan, neighbours = amb.cartan, amb.neighbours
+    local = {t: i for i, t in enumerate(theta)}
+    block = []
+    for s in theta:  # a row's nonzeros are its diagonal and its bonds
+        row = [0] * len(theta)
+        for t in (s, *neighbours[s]):
+            if t in local:
+                row[local[t]] = cartan[s][t]
+        block.append(tuple(row))
+    layouts = tuple(
+        component_layout(cartan, neighbours, comp).relabelled(local)
+        for comp in dynkin_components(neighbours, theta)
+    )
+    return BasedRootDatum._derived(
         amb.rank,
-        tuple(amb.simple_roots[t] for t in desc.theta),
-        tuple(amb.simple_coroots[t] for t in desc.theta),
-        f"{amb.name}|theta={list(desc.theta)}",
+        tuple(amb.simple_roots[t] for t in theta),
+        tuple(amb.simple_coroots[t] for t in theta),
+        f"{amb.name}|theta={list(theta)}",
+        tuple(block),
+        layouts,
     )
 
 

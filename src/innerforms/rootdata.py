@@ -370,10 +370,17 @@ class BasedRootDatum(Record):
 
     The pairing <alpha_j, alpha_i^vee> is the plain dot product; validation
     checks that it forms a classifiable Cartan matrix.  The Cartan matrix,
-    the Dynkin adjacency, the component layouts, the positive roots, the type
-    and pi_1 are computed once per instance (``cartan``, ``neighbours``,
-    ``layouts``, ``positive_roots``, ``dynkin_type``, ``pi1``);
-    ``cartan_matrix()`` and ``adjacency()`` hand out copies.
+    the Dynkin adjacency, the component layouts, the positive roots, the
+    longest element, the type and pi_1 are computed once per instance
+    (``cartan``, ``neighbours``, ``layouts``, ``positive_roots``,
+    ``longest_element``, ``dynkin_type``, ``pi1``); ``cartan_matrix()`` and
+    ``adjacency()`` hand out copies.
+
+    Vectors from outside (this constructor, ``from_json``, ``change_basis``,
+    ``dual_datum``, the catalog's lattice vectors) are validated.  Products,
+    Levi sub-data and the canonical data come from :meth:`_derived` and
+    inherit their Cartan matrix and layouts: block sums and principal
+    submatrices of finite-type Cartan matrices are of finite type.
     """
 
     rank: int
@@ -394,6 +401,19 @@ class BasedRootDatum(Record):
         validate_cartan_matrix(self.cartan, self.neighbours)
         # classifiability check; raises DatumError on garbage
         self.dynkin_type
+
+    @classmethod
+    def _derived(cls, rank, simple_roots, simple_coroots, name, cartan, layouts=None):
+        """A datum from valid data: the fields plus its known ``cartan`` (row
+        tuples) and ``layouts`` as cached values, without ``__post_init__``;
+        layouts not given are walked from ``cartan`` on first use."""
+        datum = object.__new__(cls)
+        for field, value in zip(cls._fields, (rank, simple_roots, simple_coroots, name)):
+            object.__setattr__(datum, field, value)
+        object.__setattr__(datum, "cartan", cartan)
+        if layouts is not None:
+            object.__setattr__(datum, "layouts", layouts)
+        return datum
 
     @property
     def semisimple_rank(self) -> int:
@@ -495,6 +515,15 @@ class BasedRootDatum(Record):
                             new.append(image)
             frontier = new
         return tuple(sorted(roots.items()))
+
+    @cached_property
+    def longest_element(self) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+        """w_{l,Delta}: its columns w(alpha_j) in simple-root coordinates and a
+        reduced word, by the Weyl layer's greedy exchange."""
+        from .weyl import _greedy_longest  # weyl imports this module
+
+        cols, word = _greedy_longest(self, range(self.semisimple_rank))
+        return tuple(cols), tuple(word)
 
     @cached_property
     def dynkin_type(self) -> DynkinType:
@@ -623,6 +652,13 @@ class ComponentLayout(Record):
     def label(self) -> tuple[str, int]:
         """(series, rank), the component's entry in a :class:`DynkinType`."""
         return (self.series, self.rank)
+
+    def relabelled(self, index) -> ComponentLayout:
+        """The layout with node v renamed ``index[v]``; for an increasing
+        renaming, the one the walker finds on the renamed matrix."""
+        hanging = None if self.hanging is None else index[self.hanging]
+        chain = tuple(map(index.__getitem__, self.chain))
+        return ComponentLayout(self.series, self.rank, chain, hanging, self.attach)
 
 
 def _arm(adj: dict[int, list[int]], prev: int | None, cur: int) -> list[int]:
@@ -761,23 +797,33 @@ def change_basis(datum: BasedRootDatum, u: IntMatrix) -> BasedRootDatum:
 
 
 def datum_product(data: list[BasedRootDatum], name: str | None = None) -> BasedRootDatum:
-    """Direct sum of root data (block coordinates, roots/coroots padded)."""
+    """Direct sum of root data (block coordinates, roots/coroots padded).
+
+    The product inherits its factors' invariants without revalidation: its
+    Cartan matrix is the block sum of theirs, which is of finite type as
+    theirs are, and its layouts are theirs with the nodes shifted.
+    """
     total = sum(d.rank for d in data)
     check_lattice_rank(total, name or "the product")
+    k = sum(d.semisimple_rank for d in data)
     roots: list[Vector] = []
     coroots: list[Vector] = []
-    offset = 0
+    cartan: list[tuple[int, ...]] = []
+    layouts: list[ComponentLayout] = []
+    offset = node = 0
     for d in data:
-        for r in d.simple_roots:
-            roots.append((0,) * offset + r + (0,) * (total - offset - d.rank))
-        for c in d.simple_coroots:
-            coroots.append((0,) * offset + c + (0,) * (total - offset - d.rank))
+        before, after = (0,) * offset, (0,) * (total - offset - d.rank)
+        roots.extend(before + r + after for r in d.simple_roots)
+        coroots.extend(before + c + after for c in d.simple_coroots)
+        before, after = (0,) * node, (0,) * (k - node - d.semisimple_rank)
+        cartan.extend(before + row + after for row in d.cartan)
+        shift = range(node, node + d.semisimple_rank)
+        layouts.extend(layout.relabelled(shift) for layout in d.layouts)
         offset += d.rank
-    return BasedRootDatum(
-        rank=total,
-        simple_roots=tuple(roots),
-        simple_coroots=tuple(coroots),
-        name=name if name is not None else "x".join(d.name for d in data),
+        node += d.semisimple_rank
+    name = name if name is not None else "x".join(d.name for d in data)
+    return BasedRootDatum._derived(
+        total, tuple(roots), tuple(coroots), name, tuple(cartan), tuple(layouts)
     )
 
 
@@ -847,17 +893,24 @@ def cartan_matrix_of(series: str, rank: int) -> IntMatrix:
 
 
 def simply_connected_datum(series: str, rank: int, name: str | None = None) -> BasedRootDatum:
-    """Simply connected datum: coroots are the standard basis, roots the Cartan columns."""
-    columns = tuple(zip(*cartan_matrix_of(series, rank)))
+    """Simply connected datum: coroots are the standard basis, roots the Cartan columns.
+
+    Its Cartan matrix is the Bourbaki one, so it is seeded from
+    :func:`cartan_matrix_of` rather than recomputed and revalidated.
+    """
+    rows = tuple(map(tuple, cartan_matrix_of(series, rank)))
     units = tuple(_vec(rank, {j: 1}) for j in range(rank))
-    return BasedRootDatum(rank, columns, units, name or f"{series}{rank}sc")
+    return BasedRootDatum._derived(rank, tuple(zip(*rows)), units, name or f"{series}{rank}sc", rows)
 
 
 def adjoint_datum(series: str, rank: int, name: str | None = None) -> BasedRootDatum:
-    """Adjoint datum: roots are the standard basis, coroots the Cartan rows."""
+    """Adjoint datum: roots are the standard basis, coroots the Cartan rows.
+
+    Its Cartan matrix is seeded as in :func:`simply_connected_datum`.
+    """
     rows = tuple(map(tuple, cartan_matrix_of(series, rank)))
     units = tuple(_vec(rank, {j: 1}) for j in range(rank))
-    return BasedRootDatum(rank, units, rows, name or f"{series}{rank}ad")
+    return BasedRootDatum._derived(rank, units, rows, name or f"{series}{rank}ad", rows)
 
 
 def _vec(n: int, entries: dict[int, int]) -> Vector:

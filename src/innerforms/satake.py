@@ -357,7 +357,10 @@ def parse_ascii(text: str) -> SatakeDiagram:
     torus part and lattice gluing are not encoded in the picture).  Each
     block is classified by the Dynkin walker and its nodes are laid onto the
     canonical drawing of its type; a path whose bonds read backwards is
-    reversed.
+    reversed.  The base is the product of one canonical simply connected
+    datum per block; both inherit the Bourbaki Cartan matrices (see
+    :func:`datum_product`), so a parse validates no datum: the walk of each
+    picture block is its check.
     """
     blocks = [_read_block(b) for b in text.split("\n\n") if b.strip()]
     base = datum_product([simply_connected_datum(lay.series, lay.rank) for lay, _, _ in blocks])

@@ -2,12 +2,12 @@
 
 Roots are manipulated in simple-root coordinates (integer vectors indexed by
 Delta), so positivity is coordinatewise nonnegativity and every reflection
-is Cartan-matrix arithmetic.  The positive roots come from the datum, which
-computes them once (``BasedRootDatum.positive_roots``).  Weyl group orders
-come from the parabolic orbit recursion; ``weyl_group_order`` keeps its
-documented bound of semisimple rank 6.  ``find_w_theta``, ``reduced_roots``
-and ``rank_one_decomposition`` refuse data above lattice rank
-:data:`MAX_WEYL_RANK`.
+is Cartan-matrix arithmetic.  The positive roots and w_{l,Delta} come from
+the datum, which computes them once (``BasedRootDatum.positive_roots`` and
+``longest_element``).  Weyl group orders come from the parabolic orbit
+recursion; ``weyl_group_order`` keeps its documented bound of semisimple
+rank 6.  ``find_w_theta``, ``reduced_roots`` and ``rank_one_decomposition``
+refuse data above lattice rank :data:`MAX_WEYL_RANK`.
 """
 
 from __future__ import annotations
@@ -188,15 +188,17 @@ def find_w_theta(datum: BasedRootDatum, theta) -> tuple[WeylWord, tuple[int, ...
 
     Returns the word and the image subset (0-based indices into Delta), after
     verifying by explicit action that every root of theta lands on a simple
-    root: the columns built for w_{l,Delta} are right-multiplied by the
-    letters of w_{l,theta}.
+    root: a copy of the datum's columns of w_{l,Delta}
+    (``BasedRootDatum.longest_element``, computed once per datum) is
+    right-multiplied by the letters of w_{l,theta}.
     """
     _check_weyl_rank(datum)
     theta = sorted(set(theta))
     k = datum.semisimple_rank
     if any(t < 0 or t >= k for t in theta):
         raise DatumError(f"theta {theta} out of range for {k} simple roots")
-    cols, letters = _greedy_longest(datum, range(k))
+    cols, letters = datum.longest_element
+    cols = list(cols)
     _, theta_letters = _greedy_longest(datum, theta)
     for letter in theta_letters:
         _right_multiply(datum.cartan, cols, letter)
@@ -208,7 +210,7 @@ def find_w_theta(datum: BasedRootDatum, theta) -> tuple[WeylWord, tuple[int, ...
                 f"w(alpha_{t}) = {img} is not a simple root; construction violated"
             )
         image.append(img.index(1))
-    return WeylWord(tuple(letters + theta_letters)), tuple(sorted(image))
+    return WeylWord(letters + tuple(theta_letters)), tuple(sorted(image))
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +285,10 @@ def rank_one_decomposition(
     preimage is no sum of two members, whose patterns would be 0 and its own;
     simple roots are independent, so it is unique and there is no other.
 
+    Each M_alpha's Cartan matrix is theta's block of ``datum.cartan`` plus one
+    row and column for the lowest preimage; theta's components keep their
+    labels and only the one the new root joins is walked.
+
     >>> from innerforms.rootdata import build_catalog_group
     >>> [(rr, m_alpha)] = rank_one_decomposition(build_catalog_group("Sp", [6]), (1, 2))
     >>> rr.preimages
@@ -291,35 +297,51 @@ def rank_one_decomposition(
     'C3'
     """
     _check_weyl_rank(datum)
-    k = datum.semisimple_rank
-    theta_simples = [tuple(int(i == t) for i in range(k)) for t in sorted(set(theta))]
+    theta = sorted(set(theta))
+    cartan, neighbours = datum.cartan, datum.neighbours
+    block = [[cartan[s][t] for t in theta] for s in theta]
+    local = {t: i for i, t in enumerate(theta)}
+    theta_comps = [
+        ([local[v] for v in comp], component_layout(cartan, neighbours, comp).label)
+        for comp in dynkin_components(neighbours, theta)
+    ]
     return [
-        (rr, subsystem_type(datum, theta_simples + [min(preimages, key=sum)]))
+        (rr, _rank_one_type(datum, theta, block, theta_comps, min(preimages, key=sum)))
         for rr, preimages in _restricted_classes(datum, theta)
     ]
 
 
-def subsystem_type(datum: BasedRootDatum, simple_coords: list[Vector]) -> DynkinType:
-    """Classify a subsystem given the simple-root coordinates of its simples.
+def _rank_one_type(datum: BasedRootDatum, theta, block, theta_comps, beta: Vector) -> DynkinType:
+    """Type of the subsystem with simple roots theta and ``beta`` (simple-root coordinates).
 
-    Its Cartan matrix <beta_j, beta_i^vee> = 2 B(beta_i, beta_j) / B(beta_i, beta_i)
-    comes from the W-invariant form B(x, y) = sum_ab x_a y_b d_a C[a][b], d the
-    cached symmetrizer; its torus rank is the lattice rank minus the simples.
+    ``block`` is theta's Cartan block, ``theta_comps`` theta's components as
+    (local nodes, label).  The new column is <beta, alpha_t^vee> =
+    sum_a beta_a C[t][a], the new row <alpha_t, beta^vee> = 2 B(beta, alpha_t)
+    / B(beta, beta) with the W-invariant form B(x, y) = sum_ab x_a y_b d_a
+    C[a][b], d the cached symmetrizer.  Raises DatumError unless the new
+    matrix is integral and passes the finite-type checks.
     """
     cartan, d = datum.cartan, datum.symmetrizer
-    sub = []
-    for coords in simple_coords:
-        # form[b] = B(beta, alpha_b), summed over the support of beta
-        form = [0] * len(cartan)
-        for a in compress(range(len(coords)), coords):
-            for b in (a, *datum.neighbours[a]):
-                form[b] += coords[a] * d[a] * cartan[a][b]
-        norm2 = sum(map(mul, form, coords))
-        row = [divmod(2 * sum(map(mul, form, other)), norm2) for other in simple_coords]
-        if any(remainder for _, remainder in row):
-            raise DatumError("Cartan entries not integral; corrupted subsystem")
-        sub.append(tuple(entry for entry, _ in row))
+    support = list(compress(range(len(beta)), beta))
+    # form[b] = B(beta, alpha_b), summed over the support of beta
+    form = [0] * len(cartan)
+    for a in support:
+        for b in (a, *datum.neighbours[a]):
+            form[b] += beta[a] * d[a] * cartan[a][b]
+    norm2 = sum(form[a] * beta[a] for a in support)
+    row = [divmod(2 * form[t], norm2) for t in theta]
+    if any(remainder for _, remainder in row):
+        raise DatumError("Cartan entries not integral; corrupted subsystem")
+    sub = [
+        [*block_row, sum(beta[a] * cartan[t][a] for a in support)]
+        for block_row, t in zip(block, theta)
+    ]
+    sub.append([entry for entry, _ in row] + [2])
     neighbours = cartan_neighbours(sub)
     validate_cartan_matrix(sub, neighbours)
-    layouts = (component_layout(sub, neighbours, comp) for comp in dynkin_components(neighbours))
-    return DynkinType(tuple(layout.label for layout in layouts), datum.rank - len(sub))
+    m = len(theta)
+    joined = set(neighbours[m])
+    labels = [label for nodes, label in theta_comps if joined.isdisjoint(nodes)]
+    comp = [m, *(v for nodes, _ in theta_comps if not joined.isdisjoint(nodes) for v in nodes)]
+    labels.append(component_layout(sub, neighbours, sorted(comp)).label)
+    return DynkinType(tuple(labels), datum.rank - m - 1)

@@ -22,10 +22,15 @@ from innerforms.grothendieck import (
 )
 from innerforms.rootdata import (
     BasedRootDatum,
+    DynkinType,
+    cartan_neighbours,
     classify,
+    component_layout,
     diagonal_of,
     dual_datum,
+    dynkin_components,
     smith_normal_form,
+    validate_cartan_matrix,
 )
 from innerforms.satake import _tokenize_chain
 from innerforms.weyl import RestrictedRoot, WeylWord, split_component_basis
@@ -331,6 +336,32 @@ def lj_by_terms(terms: dict, d: int, tag=lambda t: t) -> dict:
 
 # ---------------------------------------------------------------------------
 # Dynkin classification by other routes than the one Cartan walker
+
+
+def subsystem_type(datum, simple_coords):
+    """Type of a subsystem from the Cartan matrix of all its simples at once.
+
+    <beta_j, beta_i^vee> = 2 B(beta_i, beta_j) / B(beta_i, beta_i) with the
+    W-invariant form B(x, y) = sum_ab x_a y_b d_a C[a][b], d the datum's
+    cached symmetrizer; the torus rank is the lattice rank minus the simples.
+    Every entry is computed from the form, none is read off the datum's
+    Cartan matrix, and every component is walked.
+    """
+    cartan, d = datum.cartan, datum.symmetrizer
+    sub = []
+    for coords in simple_coords:
+        # form[b] = B(beta, alpha_b)
+        form = [sum(coords[a] * d[a] * cartan[a][b] for a in range(len(cartan)))
+                for b in range(len(cartan))]
+        norm2 = sum(f * x for f, x in zip(form, coords))
+        row = [divmod(2 * sum(f * x for f, x in zip(form, other)), norm2) for other in simple_coords]
+        if any(remainder for _, remainder in row):
+            raise DatumError("Cartan entries not integral; corrupted subsystem")
+        sub.append(tuple(entry for entry, _ in row))
+    neighbours = cartan_neighbours(sub)
+    validate_cartan_matrix(sub, neighbours)
+    layouts = (component_layout(sub, neighbours, comp) for comp in dynkin_components(neighbours))
+    return DynkinType(tuple(layout.label for layout in layouts), datum.rank - len(sub))
 
 
 def subsystem_type_by_subdatum(datum, simple_coords):

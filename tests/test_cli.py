@@ -7,7 +7,7 @@ from jsonschema import Draft202012Validator
 
 from innerforms.cli import main, parse_group_expr
 from innerforms.errors import GroupParseError
-from innerforms.rootdata import classify
+from innerforms.rootdata import build_catalog_group, classify, datum_product
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = json.loads(
@@ -48,6 +48,29 @@ def test_parse_group_expr_errors_carry_position():
         parse_group_expr("GL(x)")
     with pytest.raises(GroupParseError):
         parse_group_expr("")
+
+
+@pytest.mark.parametrize(
+    "text,factors",
+    [
+        ("G2xSp(6)", [("G2", []), ("Sp", [6])]),
+        ("E8xGL(2)", [("E8", []), ("GL", [2])]),
+        ("F4xSL(3)", [("F4", []), ("SL", [3])]),
+        ("E8xE8", [("E8", []), ("E8", [])]),
+        ("GL(2)xE8", [("GL", [2]), ("E8", [])]),
+    ],
+)
+def test_products_may_start_with_a_parameterless_tag(text, factors):
+    # no catalog tag contains an x, so a tag stops before the x of a product
+    expected = datum_product([build_catalog_group(*f) for f in factors], name=text)
+    assert parse_group_expr(text) == expected
+
+
+@pytest.mark.parametrize("text,position", [("xGL(2)", 0), ("GL(2)xx", 6), ("E8x", 3), ("G2xQ", 3)])
+def test_a_stray_x_is_a_parse_error_at_its_offset(text, position):
+    with pytest.raises(GroupParseError) as info:
+        parse_group_expr(text)
+    assert info.value.position == position
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +180,19 @@ def test_weyl_json(capsys):
     assert len(payload["reduced_roots"]) == 1  # maximal theta: one class
 
 
+def test_weyl_text_is_its_json_payload_ascii_escaped(capsys):
+    # a product is named by its text, here with an Arabic-Indic digit six
+    group = "G2xSp(\u0666)"
+    code, out, err = run(capsys, "weyl", group, "--theta", "0,2", "--json")
+    assert (code, err) == (0, "")
+    assert f'"group": "{group}"' in out
+    payload = json.loads(out)
+    code, out, err = run(capsys, "weyl", group, "--theta", "0,2")
+    assert (code, err) == (0, "")
+    assert '"group": "G2xSp(\\u0666)"' in out
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def test_weyl_above_enumeration_bound_reports_null_order(capsys):
     code, payload = run_json(capsys, "weyl", "E7sc", "--theta", "0")
     assert code == 0
@@ -246,6 +282,14 @@ def test_lj(capsys):
         capsys, "lj", "--n", "6", "--d", "2", "--element", "(2,4):a,b + 3*(6):c"
     )
     assert payload["image"] == "(1,2):a,b + 3*(3):c"
+
+
+@pytest.mark.parametrize("n,d", [("0", "1"), ("2", "0"), ("-1", "1"), ("0", "0")])
+def test_lj_refuses_sizes_below_one(capsys, n, d):
+    # even the zero element, which no divisibility check would reach
+    code, out, err = run(capsys, "lj", "--n", n, "--d", d, "--element", "0", "--json")
+    assert (code, out) == (2, "")
+    assert err == f"error: lj needs --n and --d of at least 1, got {n} and {d}\n"
 
 
 def test_lj_reads_stdin(capsys, monkeypatch):

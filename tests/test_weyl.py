@@ -20,7 +20,6 @@ from innerforms.weyl import (
     orbit_product_order,
     rank_one_decomposition,
     reduced_roots,
-    subsystem_type,
     weyl_group_order,
 )
 from oracles import (
@@ -34,6 +33,7 @@ from oracles import (
     rational_kernel,
     restricted_classes_by_restriction,
     roots_by_closure,
+    subsystem_type,
     subsystem_type_by_subdatum,
     weyl_order_by_closure,
     weyl_order_closed_form,
@@ -438,32 +438,43 @@ WEYL_LADDER = (
     WEYL_LADDER + [(("G2", []), ("GSp", [6]))],
     ids=lambda factors: "x".join(f"{tag}{params}" for tag, params in factors),
 )
-def test_rank_one_types_match_subdatum_oracle(factors, monkeypatch):
-    # every theta: each rank-one type read off the Cartan submatrix equals the
-    # type of the full-rank sub-datum built from the same simples
+def test_rank_one_types_match_subdatum_oracle(factors):
+    # every theta: each rank-one type equals the type of the full-rank
+    # sub-datum built from theta's simples plus the class's lowest preimage,
+    # and the type read off the Cartan matrix of all those simples at once
     data = [build_catalog_group(tag, params) for tag, params in factors]
     datum = data[0] if len(data) == 1 else datum_product(data)
-    classified = []
-
-    def checked(ambient, simple_coords):
-        found = subsystem_type(ambient, simple_coords)
-        assert found == subsystem_type_by_subdatum(ambient, simple_coords), simple_coords
-        classified.append(found)
-        return found
-
-    monkeypatch.setattr(weyl, "subsystem_type", checked)
-    for theta in all_subsets(datum.semisimple_rank):
-        rank_one_decomposition(datum, theta)
-    assert len(classified) >= 2 ** datum.semisimple_rank - 1
+    k = datum.semisimple_rank
+    coords_of = {vec: coords for coords, vec in datum.positive_roots}
+    compared = 0
+    for theta in all_subsets(k):
+        theta_simples = [tuple(int(i == t) for i in range(k)) for t in theta]
+        for rr, found in rank_one_decomposition(datum, theta):
+            lowest = min((coords_of[v] for v in rr.preimages), key=sum)
+            simples = theta_simples + [lowest]
+            assert found == subsystem_type_by_subdatum(datum, simples), (theta, rr)
+            assert found == subsystem_type(datum, simples), (theta, rr)
+            compared += 1
+    assert compared >= 2 ** k - 1
 
 
 def test_subsystem_type_refuses_non_simple_roots():
-    # 3 alpha_1 + alpha_2 is no root of A2: 2 B(x, alpha_1) / B(x, x) = 10/14
-    with pytest.raises(DatumError, match="not integral"):
-        subsystem_type(build_catalog_group("SL", [3]), [(3, 1), (1, 0)])
-    # alpha_1, alpha_2 and their sum are no set of simple roots
-    with pytest.raises(DatumError, match="positive off-diagonal"):
-        subsystem_type(build_catalog_group("G2", []), [(1, 0), (0, 1), (1, 1)])
+    # 3 alpha_1 + alpha_2 is no root of A2: 2 B(x, alpha_1) / B(x, x) = 10/14;
+    # alpha_1, alpha_2 and their sum are no set of simple roots of G2.  The
+    # oracle and the rank-one path (theta's Cartan block and components plus
+    # one row and column for beta) both refuse them.
+    cases = [
+        (("SL", [3]), (0,), [([0], ("A", 1))], (3, 1), "not integral"),
+        (("G2", []), (0, 1), [([0, 1], ("G", 2))], (1, 1), "positive off-diagonal"),
+    ]
+    for group, theta, comps, beta, message in cases:
+        datum = build_catalog_group(*group)
+        block = [[datum.cartan[s][t] for t in theta] for s in theta]
+        with pytest.raises(DatumError, match=message):
+            weyl._rank_one_type(datum, theta, block, comps, beta)
+        simples = [tuple(int(i == t) for i in range(len(beta))) for t in theta] + [beta]
+        with pytest.raises(DatumError, match=message):
+            subsystem_type(datum, simples)
 
 
 def test_torus_edge_cases():
