@@ -7,14 +7,17 @@ the datum, which computes them once (``BasedRootDatum.positive_roots`` and
 ``longest_element``).  Weyl group orders come from the parabolic orbit
 recursion; ``weyl_group_order`` keeps its documented bound of semisimple
 rank 6.  ``find_w_theta``, ``reduced_roots`` and ``rank_one_decomposition``
-refuse data above lattice rank :data:`MAX_WEYL_RANK`.
+refuse data above lattice rank :data:`MAX_WEYL_RANK` and indices of theta
+outside Delta.  Within one call, the restricted directions come from one
+sparse image in A_M-coordinates per simple root off theta, and each rank-one
+type M_alpha is computed once per distinct new Cartan column and row.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 from math import gcd
-from operator import mul
+from operator import itemgetter
 
 from ._record import Record
 from .errors import DatumError, EnumerationLimitError, GroupSpecError
@@ -43,6 +46,15 @@ def _check_weyl_rank(datum: BasedRootDatum) -> None:
             f"{datum.name or 'datum'} has lattice rank {datum.rank}, above the Weyl-layer"
             f" limit of {MAX_WEYL_RANK}"
         )
+
+
+def _check_theta(datum: BasedRootDatum, theta) -> list[int]:
+    """theta as a sorted list of distinct indices; DatumError unless all lie in Delta."""
+    theta = sorted(set(theta))
+    k = datum.semisimple_rank
+    if theta and (theta[0] < 0 or theta[-1] >= k):
+        raise DatumError(f"theta {theta} out of range for {k} simple roots")
+    return theta
 
 
 class WeylWord(Record):
@@ -177,12 +189,6 @@ def _greedy_longest(datum: BasedRootDatum, subset) -> tuple[list[Vector], list[i
         word.append(j)
 
 
-def longest_word(datum: BasedRootDatum, subset) -> WeylWord:
-    """Reduced word for the longest element of the parabolic subgroup W_subset."""
-    _, word = _greedy_longest(datum, sorted(set(subset)))
-    return WeylWord(tuple(word))
-
-
 def find_w_theta(datum: BasedRootDatum, theta) -> tuple[WeylWord, tuple[int, ...]]:
     """The representative w = w_{l,Delta} w_{l,theta} with w(theta) inside Delta.
 
@@ -193,10 +199,7 @@ def find_w_theta(datum: BasedRootDatum, theta) -> tuple[WeylWord, tuple[int, ...
     right-multiplied by the letters of w_{l,theta}.
     """
     _check_weyl_rank(datum)
-    theta = sorted(set(theta))
-    k = datum.semisimple_rank
-    if any(t < 0 or t >= k for t in theta):
-        raise DatumError(f"theta {theta} out of range for {k} simple roots")
+    theta = _check_theta(datum, theta)
     cols, letters = datum.longest_element
     cols = list(cols)
     _, theta_letters = _greedy_longest(datum, theta)
@@ -228,31 +231,51 @@ def _primitive(v: Vector) -> Vector:
     return tuple(x // g for x in v) if g > 1 else v
 
 
-def _restricted_classes(datum: BasedRootDatum, theta):
+def _restricted_classes(datum: BasedRootDatum, theta: list[int]):
     """The positive roots off theta, grouped by their restriction to A_M.
 
     The restrictions of the alpha_i with i not in theta are linearly
     independent, since X^*(A_M)_Q = X^*(T)_Q / span(theta).  So two roots
     restrict to positive multiples of one direction exactly when their
     coefficient patterns off theta are proportional: each class is keyed by
-    that primitive pattern, and its direction is the primitive restriction of
-    one member's lattice vector.  Returns, in direction order, the pairs
-    (RestrictedRoot, simple-root coordinates of its preimages).
+    that primitive pattern.  Restriction is linear and kills theta's roots,
+    so a class's direction is the primitive vector of sum_i pattern_i r_i,
+    with r_i the A_M-coordinates of alpha_i, computed once per call and kept
+    sparse.  Returns, in direction order, the pairs (RestrictedRoot,
+    simple-root coordinates of its preimages).
     """
     theta_set = set(theta)
     off = [i for i in range(datum.semisimple_rank) if i not in theta_set]
-    classes: dict[Vector, list[tuple[Vector, Vector]]] = {}
+    if not off:
+        return []
+    if len(off) > 1:
+        off_coords = itemgetter(*off)
+    else:
+        off_coords = lambda coords, i=off[0]: (coords[i],)  # noqa: E731
+    classes: dict[Vector, tuple[list[Vector], list[Vector]]] = {}
     for coords, vec in datum.positive_roots:
-        pattern = _primitive(tuple(coords[i] for i in off))
+        pattern = _primitive(off_coords(coords))
         if any(pattern):
-            classes.setdefault(pattern, []).append((coords, vec))
+            members = classes.get(pattern)
+            if members is None:
+                classes[pattern] = members = ([], [])
+            members[0].append(coords)
+            members[1].append(vec)
     basis = split_component_basis(datum, theta)
+    images = []
+    for i in off:
+        root = [(a, x) for a, x in enumerate(datum.simple_roots[i]) if x]
+        image = ((j, sum(x * col[a] for a, x in root)) for j, col in enumerate(basis))
+        images.append([(j, y) for j, y in image if y])
     pairs = []
-    for members in classes.values():
-        vec = members[0][1]
-        direction = _primitive(tuple(sum(map(mul, vec, col)) for col in basis))
-        preimages = tuple(sorted(v for _, v in members))
-        pairs.append((RestrictedRoot(direction, preimages), [c for c, _ in members]))
+    for pattern, (coords, vecs) in classes.items():
+        direction = [0] * len(basis)
+        for p, image in zip(pattern, images):
+            if p:
+                for j, y in image:
+                    direction[j] += p * y
+        preimages = tuple(vecs) if len(vecs) == 1 else tuple(sorted(vecs))
+        pairs.append((RestrictedRoot(_primitive(tuple(direction)), preimages), coords))
     pairs.sort(key=lambda pair: pair[0].direction)
     return pairs
 
@@ -263,9 +286,18 @@ def reduced_roots(datum: BasedRootDatum, theta) -> list[RestrictedRoot]:
     Positive roots not supported on theta are grouped by positive-rational
     proportionality of their restrictions to A_M (alpha and 2 alpha collapse
     into one class).  The classes partition the restricted roots.  Raises
-    GroupSpecError above lattice rank :data:`MAX_WEYL_RANK`.
+    GroupSpecError above lattice rank :data:`MAX_WEYL_RANK` and DatumError
+    on an index of theta outside Delta.
+
+    At theta = {} each class is one positive root, whose direction is its
+    primitive lattice vector:
+
+    >>> from innerforms.rootdata import build_catalog_group
+    >>> [(rr.direction, rr.preimages) for rr in reduced_roots(build_catalog_group("SL", [3]), ())]
+    [((-1, 2), ((-1, 2),)), ((1, 1), ((1, 1),)), ((2, -1), ((2, -1),))]
     """
     _check_weyl_rank(datum)
+    theta = _check_theta(datum, theta)
     return [rr for rr, _ in _restricted_classes(datum, theta)]
 
 
@@ -286,8 +318,13 @@ def rank_one_decomposition(
     simple roots are independent, so it is unique and there is no other.
 
     Each M_alpha's Cartan matrix is theta's block of ``datum.cartan`` plus one
-    row and column for the lowest preimage; theta's components keep their
-    labels and only the one the new root joins is walked.
+    row and column for the lowest preimage (:func:`_new_column_and_row`, whose
+    integrality is checked for every class).  The type depends on nothing
+    else, so it is cached per distinct (column, row) within the call: only on
+    a miss is the matrix built, validated and walked, and then only the
+    component the new root joins; theta's components keep their labels.  At
+    theta = {} every class is A1 and one matrix is typed.  The directions come
+    from one sparse image per simple root off theta.
 
     >>> from innerforms.rootdata import build_catalog_group
     >>> [(rr, m_alpha)] = rank_one_decomposition(build_catalog_group("Sp", [6]), (1, 2))
@@ -297,7 +334,7 @@ def rank_one_decomposition(
     'C3'
     """
     _check_weyl_rank(datum)
-    theta = sorted(set(theta))
+    theta = _check_theta(datum, theta)
     cartan, neighbours = datum.cartan, datum.neighbours
     block = [[cartan[s][t] for t in theta] for s in theta]
     local = {t: i for i, t in enumerate(theta)}
@@ -305,22 +342,27 @@ def rank_one_decomposition(
         ([local[v] for v in comp], component_layout(cartan, neighbours, comp).label)
         for comp in dynkin_components(neighbours, theta)
     ]
-    return [
-        (rr, _rank_one_type(datum, theta, block, theta_comps, min(preimages, key=sum)))
-        for rr, preimages in _restricted_classes(datum, theta)
-    ]
+    types: dict[tuple[Vector, Vector], DynkinType] = {}
+    out = []
+    for rr, preimages in _restricted_classes(datum, theta):
+        key = _new_column_and_row(datum, theta, min(preimages, key=sum))
+        m_alpha = types.get(key)
+        if m_alpha is None:
+            types[key] = m_alpha = _rank_one_type(datum, block, theta_comps, *key)
+        out.append((rr, m_alpha))
+    return out
 
 
-def _rank_one_type(datum: BasedRootDatum, theta, block, theta_comps, beta: Vector) -> DynkinType:
-    """Type of the subsystem with simple roots theta and ``beta`` (simple-root coordinates).
+def _new_column_and_row(datum: BasedRootDatum, theta: list[int], beta: Vector):
+    """The Cartan entries joining ``beta`` (simple-root coordinates) to theta.
 
-    ``block`` is theta's Cartan block, ``theta_comps`` theta's components as
-    (local nodes, label).  The new column is <beta, alpha_t^vee> =
-    sum_a beta_a C[t][a], the new row <alpha_t, beta^vee> = 2 B(beta, alpha_t)
-    / B(beta, beta) with the W-invariant form B(x, y) = sum_ab x_a y_b d_a
-    C[a][b], d the cached symmetrizer.  Raises DatumError unless the new
-    matrix is integral and passes the finite-type checks.
+    The column is <beta, alpha_t^vee> = sum_a beta_a C[t][a], the row
+    <alpha_t, beta^vee> = 2 B(beta, alpha_t) / B(beta, beta) with the
+    W-invariant form B(x, y) = sum_ab x_a y_b d_a C[a][b], d the cached
+    symmetrizer.  Raises DatumError unless the row is integral.
     """
+    if not theta:
+        return (), ()
     cartan, d = datum.cartan, datum.symmetrizer
     support = list(compress(range(len(beta)), beta))
     # form[b] = B(beta, alpha_b), summed over the support of beta
@@ -332,14 +374,23 @@ def _rank_one_type(datum: BasedRootDatum, theta, block, theta_comps, beta: Vecto
     row = [divmod(2 * form[t], norm2) for t in theta]
     if any(remainder for _, remainder in row):
         raise DatumError("Cartan entries not integral; corrupted subsystem")
-    sub = [
-        [*block_row, sum(beta[a] * cartan[t][a] for a in support)]
-        for block_row, t in zip(block, theta)
-    ]
-    sub.append([entry for entry, _ in row] + [2])
+    column = tuple(sum(beta[a] * cartan[t][a] for a in support) for t in theta)
+    return column, tuple(entry for entry, _ in row)
+
+
+def _rank_one_type(datum: BasedRootDatum, block, theta_comps, column, row) -> DynkinType:
+    """Type of the subsystem with simple roots theta and one more root joined
+    to theta by ``column`` and ``row`` (see :func:`_new_column_and_row`).
+
+    ``block`` is theta's Cartan block, ``theta_comps`` theta's components as
+    (local nodes, label).  Raises DatumError unless the new matrix passes the
+    finite-type checks.
+    """
+    sub = [[*block_row, c] for block_row, c in zip(block, column)]
+    sub.append([*row, 2])
     neighbours = cartan_neighbours(sub)
     validate_cartan_matrix(sub, neighbours)
-    m = len(theta)
+    m = len(block)
     joined = set(neighbours[m])
     labels = [label for nodes, label in theta_comps if joined.isdisjoint(nodes)]
     comp = [m, *(v for nodes, _ in theta_comps if not joined.isdisjoint(nodes) for v in nodes)]

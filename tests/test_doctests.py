@@ -18,12 +18,13 @@ def test_module_doctests_pass(name):
 
 
 def test_doctest_examples_are_collected():
-    # rootdata has Smith normal form, classify and the walker on a bare
-    # Cartan matrix; globalize has one example, and weyl the non-reduced
-    # rank-one decomposition of Sp(6)
+    # examples, not docstrings, are counted: rootdata has Smith normal form,
+    # classify and the walker on a bare Cartan matrix; globalize has one
+    # example, and weyl two for the reduced roots of SL(3) at theta = {} and
+    # four for the non-reduced rank-one decomposition of Sp(6)
     for name, least in (
         ("innerforms.globalize", 1),
         ("innerforms.rootdata", 5),
-        ("innerforms.weyl", 1),
+        ("innerforms.weyl", 6),
     ):
         assert doctest.testmod(importlib.import_module(name)).attempted >= least, name

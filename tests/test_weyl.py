@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -384,13 +385,11 @@ def test_rank_one_types_match_kernel_oracle(tag, params, theta):
 
 
 def test_longest_word_properties():
-    from innerforms.weyl import longest_word
-
     for tag, params in [("SL", [4]), ("Sp", [6]), ("Spin", [8]), ("G2", []), ("F4", [])]:
         datum = build_catalog_group(tag, params)
         k = datum.semisimple_rank
         positives = [coords for coords, _ in datum.positive_roots]
-        word = longest_word(datum, range(k))
+        word = WeylWord(datum.longest_element[1])
         assert len(word) == len(positives)
         cols = word_action(datum, word)
         for coords in positives:
@@ -464,14 +463,15 @@ def test_subsystem_type_refuses_non_simple_roots():
     # oracle and the rank-one path (theta's Cartan block and components plus
     # one row and column for beta) both refuse them.
     cases = [
-        (("SL", [3]), (0,), [([0], ("A", 1))], (3, 1), "not integral"),
-        (("G2", []), (0, 1), [([0, 1], ("G", 2))], (1, 1), "positive off-diagonal"),
+        (("SL", [3]), [0], [([0], ("A", 1))], (3, 1), "not integral"),
+        (("G2", []), [0, 1], [([0, 1], ("G", 2))], (1, 1), "positive off-diagonal"),
     ]
     for group, theta, comps, beta, message in cases:
         datum = build_catalog_group(*group)
         block = [[datum.cartan[s][t] for t in theta] for s in theta]
         with pytest.raises(DatumError, match=message):
-            weyl._rank_one_type(datum, theta, block, comps, beta)
+            column, row = weyl._new_column_and_row(datum, theta, beta)
+            weyl._rank_one_type(datum, block, comps, column, row)
         simples = [tuple(int(i == t) for i in range(len(beta))) for t in theta] + [beta]
         with pytest.raises(DatumError, match=message):
             subsystem_type(datum, simples)
@@ -522,6 +522,22 @@ def test_weyl_layer_equals_first_construction_on_every_theta(tag, params):
         check_first_construction(datum, theta)
 
 
+# rank 7 and 8: theta = {}, where every class is one root and every M_alpha
+# is A1; every maximal theta, where |Delta - theta| = 1; and theta = Delta
+RANK_7_8 = [("E7sc", []), ("E8", []), ("Sp", [16]), ("Spin", [16]), ("Spin", [17]), ("SL", [9])]
+
+
+@pytest.mark.parametrize("tag,params", RANK_7_8, ids=lambda x: str(x))
+def test_weyl_layer_equals_first_construction_at_rank_7_and_8(tag, params):
+    datum = build_catalog_group(tag, params)
+    k = datum.semisimple_rank
+    assert k in (7, 8)
+    check_positive_roots(datum)
+    thetas = [[], list(range(k))] + [[i for i in range(k) if i != j] for j in range(k)]
+    for theta in thetas:
+        check_first_construction(datum, theta)
+
+
 SAMPLED = (
     [(("E6sc", []),), (("E7sc", []),), (("E8", []),), (("F4", []),), (("G2", []),)]
     + [((tag, [n]),) for tag, n in (("GL", 9), ("SL", 9), ("PGL", 9), ("Sp", 14), ("Sp", 16))]
@@ -551,3 +567,50 @@ def test_weyl_layer_refuses_above_rank_limit():
     datum = build_catalog_group("GL", [64])
     assert reduced_roots(datum, range(63)) == []
     assert len(datum.positive_roots) == 63 * 64 // 2
+
+
+@pytest.mark.parametrize("call", [find_w_theta, reduced_roots, rank_one_decomposition])
+@pytest.mark.parametrize("theta", [(5,), (-1,), (0, 3)])
+def test_weyl_layer_refuses_theta_out_of_range(call, theta):
+    datum = build_catalog_group("SL", [4])
+    with pytest.raises(DatumError, match=r"^theta \[.*\] out of range for 3 simple roots$"):
+        call(datum, theta)
+
+
+def test_rank_one_types_each_distinct_matrix_once(monkeypatch):
+    # M_alpha's Cartan matrix is validated once per distinct new column and
+    # row within a call; both are recomputed here from lattice vectors and
+    # the coroot oracle
+    runs = []
+    validate = weyl.validate_cartan_matrix
+    monkeypatch.setattr(
+        weyl, "validate_cartan_matrix", lambda sub, nbrs: runs.append(len(sub)) or validate(sub, nbrs)
+    )
+    e8 = build_catalog_group("E8", [])
+    assert len(rank_one_decomposition(e8, ())) == 120
+    assert runs == [1]
+    assert len(rank_one_decomposition(e8, [])) == 120
+    assert runs == [1, 1]
+    # Spin(17) at theta = {alpha_1}: a long and a short lowest root pair to -1
+    # against alpha_1^vee, with rows -1 and -2 (A2 and C2)
+    for group, theta, columns in [
+        (("Spin", [17]), [0], 2),
+        (("E8", []), [0, 2, 3, 5], None),
+        (("F4", []), [0], 2),
+        (("Sp", [16]), [1, 2, 5], None),
+    ]:
+        datum = build_catalog_group(*group)
+        coords_of = {vec: coords for coords, vec in datum.positive_roots}
+        runs.clear()
+        decomposition = rank_one_decomposition(datum, theta)
+        keys = set()
+        for rr, _ in decomposition:
+            lowest = min(rr.preimages, key=lambda vec: sum(coords_of[vec]))
+            coroot = coroot_of(datum, coords_of[lowest])
+            column = tuple(sum(map(mul, lowest, datum.simple_coroots[t])) for t in theta)
+            row = tuple(sum(map(mul, datum.simple_roots[t], coroot)) for t in theta)
+            keys.add((column, row))
+        assert runs == [len(theta) + 1] * len(keys), group
+        assert len(keys) < len(decomposition), group
+        if columns is not None:
+            assert len({column for column, _ in keys}) == columns < len(keys), group
