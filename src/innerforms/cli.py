@@ -89,6 +89,7 @@ def parse_removed(datum: BasedRootDatum, text: str) -> list[int]:
 
 
 def _theta_from_args(datum: BasedRootDatum, args) -> tuple[int, ...]:
+    """Theta from ``--remove`` or ``--theta`` (argparse admits at most one); () if neither."""
     if args.remove is not None:
         from .levi import remove_indices
         return remove_indices(datum, parse_removed(datum, args.remove))
@@ -426,15 +427,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine output")
         return p
 
+    def add_theta(p):
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--remove", help="roots removed from Delta, e.g. a4 or a4,a6")
+        group.add_argument("--theta", help="0-based theta indices, e.g. 0,1,3")
+
     p = add("levi", _cmd_levi, help="analyze a standard Levi subgroup")
     p.add_argument("group")
-    p.add_argument("--remove", help="roots removed from Delta, e.g. a4 or a4,a6")
-    p.add_argument("--theta", help="0-based theta indices, e.g. 0,1,3")
+    add_theta(p)
 
     p = add("satake", _cmd_satake, help="inner-form transfer and diagram of a Levi")
     p.add_argument("--group", required=True)
-    p.add_argument("--remove")
-    p.add_argument("--theta")
+    add_theta(p)
     p.add_argument("--degrees", help="division degree per envelope factor, e.g. 2,1,2")
     p.add_argument("--pattern", help="render the GL pattern n,d instead (e.g. 6,3)")
 
@@ -442,8 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("weyl", _cmd_weyl, help="Weyl data: order, w_theta, reduced roots")
     p.add_argument("group")
-    p.add_argument("--remove")
-    p.add_argument("--theta")
+    add_theta(p)
 
     p = add("kottwitz", _cmd_kottwitz, help="the finite group A(G)")
     p.add_argument("group")

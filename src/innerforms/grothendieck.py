@@ -187,9 +187,6 @@ class VirtualElement:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, element: BasisElement) -> int:
-        return self._terms.get(element, 0)
-
     def _combine(self, other: "VirtualElement", sign: int) -> "VirtualElement":
         out = dict(self._terms)
         for elt, coeff in other._terms.items():
@@ -355,27 +352,7 @@ def global_d_compatibility(
 
 
 # ---------------------------------------------------------------------------
-# small built-ins (the GL_2 rewrite) and product bookkeeping
-
-
-def steinberg(n: int, tag: str = "St") -> VirtualElement:
-    """The full-group basis element (n):tag."""
-    return VirtualElement.of(BasisElement(split_side(n), (n,), (tag,)))
-
-
-def gl2_principal_series(tag1: str = "x", tag2: str = "y") -> VirtualElement:
-    """Induced-from-torus basis element (1,1) of GL_2."""
-    return VirtualElement.of(BasisElement(split_side(2), (1, 1), (tag1, tag2)))
-
-
-def gl2_trivial(tag1: str = "x", tag2: str = "y", st_tag: str = "St") -> VirtualElement:
-    """The trivial representation of GL_2 in the induced basis.
-
-    Classically the normalized principal series induced from the torus
-    equals trivial + Steinberg in the Grothendieck group, so the trivial
-    class is the (1,1)-term minus the Steinberg term.
-    """
-    return gl2_principal_series(tag1, tag2) - steinberg(2, st_tag)
+# product bookkeeping
 
 
 def _tensor_key(item: tuple[tuple[BasisElement, ...], int]):

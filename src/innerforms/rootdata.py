@@ -42,54 +42,10 @@ def identity_matrix(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in range(len(a))]
-    cols = len(b[0])
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-        for i in range(len(a))
-    ]
-
-
-def mat_vec(a: IntMatrix, v: Vector) -> Vector:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
-
-
 def transpose(a: IntMatrix) -> IntMatrix:
     if not a:
         return []
     return [list(col) for col in zip(*a)]
-
-
-def det_int(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant of a non-square matrix")
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def is_unimodular(a: IntMatrix) -> bool:
-    return abs(det_int(a)) == 1
 
 
 def smith_normal_form(matrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -373,14 +329,13 @@ class BasedRootDatum(Record):
     the Dynkin adjacency, the component layouts, the positive roots, the
     longest element, the type and pi_1 are computed once per instance
     (``cartan``, ``neighbours``, ``layouts``, ``positive_roots``,
-    ``longest_element``, ``dynkin_type``, ``pi1``); ``cartan_matrix()`` and
-    ``adjacency()`` hand out copies.
+    ``longest_element``, ``dynkin_type``, ``pi1``).
 
-    Vectors from outside (this constructor, ``from_json``, ``change_basis``,
-    ``dual_datum``, the catalog's lattice vectors) are validated.  Products,
-    Levi sub-data and the canonical data come from :meth:`_derived` and
-    inherit their Cartan matrix and layouts: block sums and principal
-    submatrices of finite-type Cartan matrices are of finite type.
+    Vectors from outside enter through this constructor or the catalog's
+    lattice vectors, and are validated.  Products, Levi sub-data and the
+    canonical data come from :meth:`_derived` and inherit their Cartan
+    matrix and layouts: block sums and principal submatrices of finite-type
+    Cartan matrices are of finite type.
     """
 
     rank: int
@@ -418,11 +373,6 @@ class BasedRootDatum(Record):
     @property
     def semisimple_rank(self) -> int:
         return len(self.simple_roots)
-
-    def pairing(self, root_index: int, coroot_index: int) -> int:
-        r = self.simple_roots[root_index]
-        c = self.simple_coroots[coroot_index]
-        return sum(a * b for a, b in zip(r, c))
 
     @cached_property
     def cartan(self) -> tuple[tuple[int, ...], ...]:
@@ -537,31 +487,6 @@ class BasedRootDatum(Record):
         """Torsion of Y / <simple coroots>; see :func:`fundamental_group`."""
         torsion, _ = cokernel_invariants(list(self.simple_coroots), self.rank)
         return FiniteAbelianGroup(tuple(torsion))
-
-    def cartan_matrix(self) -> IntMatrix:
-        """C[i][j] = <alpha_j, alpha_i^vee>, as a fresh list of lists."""
-        return [list(row) for row in self.cartan]
-
-    def adjacency(self) -> list[list[int]]:
-        return [list(nbrs) for nbrs in self.neighbours]
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "rank": self.rank,
-            "simple_roots": [list(v) for v in self.simple_roots],
-            "simple_coroots": [list(v) for v in self.simple_coroots],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "BasedRootDatum":
-        return BasedRootDatum(
-            rank=int(data["rank"]),
-            simple_roots=tuple(tuple(int(x) for x in v) for v in data["simple_roots"]),
-            simple_coroots=tuple(tuple(int(x) for x in v) for v in data["simple_coroots"]),
-            name=str(data.get("name", "")),
-        )
-
 
 def validate_cartan_matrix(c: IntMatrix, neighbours) -> None:
     """Raise DatumError unless ``c`` passes the pairwise finite-type checks.
@@ -761,39 +686,6 @@ def fundamental_group(datum: BasedRootDatum) -> FiniteAbelianGroup:
     adjoint datum its order is |det Cartan|.  Computed once per datum.
     """
     return datum.pi1
-
-
-def dual_datum(datum: BasedRootDatum) -> BasedRootDatum:
-    """Swap the roles of roots and coroots (the Langlands dual's datum)."""
-    return BasedRootDatum(
-        rank=datum.rank,
-        simple_roots=datum.simple_coroots,
-        simple_coroots=datum.simple_roots,
-        name=f"dual({datum.name})" if datum.name else "dual",
-    )
-
-
-def change_basis(datum: BasedRootDatum, u: IntMatrix) -> BasedRootDatum:
-    """Apply a unimodular change of basis of the character lattice.
-
-    Roots transform by u, coroots by the inverse transpose, so all pairings
-    are preserved exactly.
-    """
-    if not is_unimodular(u):
-        raise DatumError("change of basis must be unimodular")
-    n = datum.rank
-    uu, d, v = smith_normal_form(u)
-    # UuV = 1 for unimodular u, so u^{-1} = V U; verified before use
-    inv = mat_mul(v, uu)
-    if mat_mul(u, inv) != identity_matrix(n):
-        raise DatumError("failed to invert unimodular matrix")
-    inv_t = transpose(inv)
-    return BasedRootDatum(
-        rank=n,
-        simple_roots=tuple(mat_vec(u, r) for r in datum.simple_roots),
-        simple_coroots=tuple(mat_vec(inv_t, c) for c in datum.simple_coroots),
-        name=datum.name,
-    )
 
 
 def datum_product(data: list[BasedRootDatum], name: str | None = None) -> BasedRootDatum:

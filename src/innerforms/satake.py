@@ -97,15 +97,6 @@ def type_a_satake(n: int, d: int) -> SatakeDiagram:
     return SatakeDiagram(base=base, black=frozenset(type_a_black_positions(n, d)))
 
 
-def validate_type_a_period(diagram: SatakeDiagram, d: int) -> bool:
-    """Check the black set is the period-d pattern on a single A-chain."""
-    n = diagram.base.semisimple_rank + 1
-    try:
-        return set(diagram.black) == set(type_a_black_positions(n, d))
-    except TransferError:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # Levi transfer
 
@@ -148,20 +139,6 @@ def transfer_levi(report: LeviReport, division_degrees) -> InnerFormShape:
             f"split component rank {report.split_component_rank}"
         )
     return InnerFormShape(tuple(factors), note)
-
-
-def shares_derived_type_with_envelope(report: LeviReport) -> bool:
-    """Structural fact behind normalization-constant invariance.
-
-    A sandwich Levi and its GL-envelope have the same derived root system
-    (a product of type-A systems of ranks n_i - 1), so any constant that
-    depends only on the derived data is common to both.  Returns True for
-    every condition-one report; never computes such a constant.
-    """
-    if not report.condition_one:
-        return False
-    envelope_derived = tuple(sorted(("A", n - 1) for n in report.gl_envelope if n > 1))
-    return envelope_derived == report.derived_type.components
 
 
 def levi_satake_diagram(desc: LeviDescriptor, division_degrees) -> SatakeDiagram:
@@ -250,26 +227,7 @@ def render_ascii(diagram: SatakeDiagram, unicode: bool | None = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# parsing back to a canonical diagram
-
-
-def canonical_diagram(components) -> SatakeDiagram:
-    """Diagram over a product of canonical simply connected data.
-
-    ``components`` is a list of (series, rank, black_positions) with
-    0-based black positions in Bourbaki numbering.
-    """
-    data = [simply_connected_datum(series, rank) for series, rank, _ in components]
-    base = datum_product(data)
-    black: set[int] = set()
-    offset = 0
-    for (series, rank, positions), d in zip(components, data):
-        for p in positions:
-            if p < 0 or p >= rank:
-                raise DatumError(f"black position {p} out of range for {series}{rank}")
-            black.add(offset + p)
-        offset += d.semisimple_rank
-    return SatakeDiagram(base, frozenset(black))
+# parsing back to a diagram over canonical data
 
 
 def _tokenize_chain(line: str) -> tuple[list[bool], list[tuple[int, str]], list[int]]:
@@ -352,15 +310,15 @@ def _read_block(block: str) -> tuple[ComponentLayout, IntMatrix, list[bool]]:
 def parse_ascii(text: str) -> SatakeDiagram:
     """Parse a rendered diagram back into canonical simply connected form.
 
-    Inverse to render_ascii on diagrams produced by ``canonical_diagram``;
-    for other bases it recovers the same picture over canonical data (the
-    torus part and lattice gluing are not encoded in the picture).  Each
-    block is classified by the Dynkin walker and its nodes are laid onto the
-    canonical drawing of its type; a path whose bonds read backwards is
-    reversed.  The base is the product of one canonical simply connected
-    datum per block; both inherit the Bourbaki Cartan matrices (see
-    :func:`datum_product`), so a parse validates no datum: the walk of each
-    picture block is its check.
+    Inverse to render_ascii on diagrams over a product of canonical simply
+    connected data; for other bases it recovers the same picture over
+    canonical data (the torus part and lattice gluing are not encoded in the
+    picture).  Each block is classified by the Dynkin walker and its nodes
+    are laid onto the canonical drawing of its type; a path whose bonds read
+    backwards is reversed.  The base is the product of one canonical simply
+    connected datum per block; both inherit the Bourbaki Cartan matrices
+    (see :func:`datum_product`), so a parse validates no datum: the walk of
+    each picture block is its check.
     """
     blocks = [_read_block(b) for b in text.split("\n\n") if b.strip()]
     base = datum_product([simply_connected_datum(lay.series, lay.rank) for lay, _, _ in blocks])

@@ -4,6 +4,8 @@ These deliberately avoid the library's code paths: determinants by cofactor
 expansion, kernels by rational Gaussian elimination, multiplicative counts
 straight from definitions.  Lattice quotients go through the dense Smith
 normal form, which the library's sparse invariant-factor path does not use.
+The module also holds what only tests need: basis changes and duals of root
+data, canonical Satake diagrams, and the GL_2 elements of the transfer suite.
 """
 
 from __future__ import annotations
@@ -26,13 +28,16 @@ from innerforms.rootdata import (
     cartan_neighbours,
     classify,
     component_layout,
+    datum_product,
     diagonal_of,
-    dual_datum,
     dynkin_components,
+    identity_matrix,
+    simply_connected_datum,
     smith_normal_form,
+    transpose,
     validate_cartan_matrix,
 )
-from innerforms.satake import _tokenize_chain
+from innerforms.satake import SatakeDiagram, _tokenize_chain
 from innerforms.weyl import RestrictedRoot, WeylWord, split_component_basis
 
 
@@ -130,7 +135,7 @@ def weyl_order_by_closure(datum) -> int:
     closure runs over tuples of root indices: every element is visited once
     (51,840 states for E6).  Only the dense Cartan matrix is read.
     """
-    cartan = datum.cartan_matrix()
+    cartan = datum.cartan
     k = len(cartan)
     if k == 0:
         return 1
@@ -161,6 +166,73 @@ def positive_root_count(series: str, rank: int) -> int:
     if series == "D":
         return rank * (rank - 1)
     return {("E", 6): 36, ("E", 7): 63, ("E", 8): 120, ("F", 4): 24, ("G", 2): 6}[(series, rank)]
+
+
+def mat_mul(a, b):
+    if not a or not b:
+        return [[0] * (len(b[0]) if b else 0) for _ in range(len(a))]
+    cols = len(b[0])
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
+        for i in range(len(a))
+    ]
+
+
+def mat_vec(a, v):
+    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
+
+
+def det_int(a) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = len(a)
+    if n == 0:
+        return 1
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant of a non-square matrix")
+    m = [list(row) for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def is_unimodular(a) -> bool:
+    return abs(det_int(a)) == 1
+
+
+def change_basis(datum, u):
+    """The datum after a unimodular change of basis of the character lattice.
+
+    Roots transform by u, coroots by the inverse transpose, so all pairings
+    are preserved exactly; the result goes through the validating constructor.
+    """
+    if not is_unimodular(u):
+        raise DatumError("change of basis must be unimodular")
+    n = datum.rank
+    uu, _, v = smith_normal_form(u)
+    # UuV = 1 for unimodular u, so u^{-1} = V U; verified before use
+    inv = mat_mul(v, uu)
+    if mat_mul(u, inv) != identity_matrix(n):
+        raise DatumError("failed to invert unimodular matrix")
+    inv_t = transpose(inv)
+    return BasedRootDatum(
+        rank=n,
+        simple_roots=tuple(mat_vec(u, r) for r in datum.simple_roots),
+        simple_coroots=tuple(mat_vec(inv_t, c) for c in datum.simple_coroots),
+        name=datum.name,
+    )
 
 
 def random_unimodular(rank: int, rng, steps: int = 12):
@@ -217,6 +289,16 @@ def dense_cokernel_invariants(rows, n) -> tuple[list[int], int]:
     _, d, _ = smith_normal_form([list(r) for r in rows])
     diag = [x for x in diagonal_of(d) if x != 0]
     return [x for x in diag if x > 1], n - len(diag)
+
+
+def dual_datum(datum):
+    """Swap the roles of roots and coroots (the Langlands dual's datum)."""
+    return BasedRootDatum(
+        rank=datum.rank,
+        simple_roots=datum.simple_coroots,
+        simple_coroots=datum.simple_roots,
+        name=f"dual({datum.name})" if datum.name else "dual",
+    )
 
 
 def kottwitz_by_dual_datum(datum) -> tuple[tuple[int, ...], int]:
@@ -334,6 +416,26 @@ def lj_by_terms(terms: dict, d: int, tag=lambda t: t) -> dict:
     return dict(sorted((key, coeff) for key, coeff in out.items() if coeff))
 
 
+def steinberg(n: int, tag: str = "St") -> VirtualElement:
+    """The full-group basis element (n):tag."""
+    return VirtualElement.of(BasisElement(split_side(n), (n,), (tag,)))
+
+
+def gl2_principal_series(tag1: str = "x", tag2: str = "y") -> VirtualElement:
+    """Induced-from-torus basis element (1,1) of GL_2."""
+    return VirtualElement.of(BasisElement(split_side(2), (1, 1), (tag1, tag2)))
+
+
+def gl2_trivial(tag1: str = "x", tag2: str = "y", st_tag: str = "St") -> VirtualElement:
+    """The trivial representation of GL_2 in the induced basis.
+
+    Classically the normalized principal series induced from the torus
+    equals trivial + Steinberg in the Grothendieck group, so the trivial
+    class is the (1,1)-term minus the Steinberg term.
+    """
+    return gl2_principal_series(tag1, tag2) - steinberg(2, st_tag)
+
+
 # ---------------------------------------------------------------------------
 # Dynkin classification by other routes than the one Cartan walker
 
@@ -396,6 +498,25 @@ def coroot_of(datum, coords):
             if y:
                 out[t] += c * y
     return tuple(out)
+
+
+def canonical_diagram(components) -> SatakeDiagram:
+    """Diagram over a product of canonical simply connected data.
+
+    ``components`` is a list of (series, rank, black_positions) with
+    0-based black positions in Bourbaki numbering.
+    """
+    data = [simply_connected_datum(series, rank) for series, rank, _ in components]
+    base = datum_product(data)
+    black: set[int] = set()
+    offset = 0
+    for (series, rank, positions), d in zip(components, data):
+        for p in positions:
+            if p < 0 or p >= rank:
+                raise DatumError(f"black position {p} out of range for {series}{rank}")
+            black.add(offset + p)
+        offset += d.semisimple_rank
+    return SatakeDiagram(base, frozenset(black))
 
 
 def parse_component_by_series_rules(block: str) -> tuple[str, int, list[int]]:
@@ -502,7 +623,7 @@ def coords_to_vector(datum, coords):
 
 def positive_roots_by_closure(datum) -> list:
     """Positive roots in simple-root coordinates, sorted, from the reflection closure."""
-    return sorted(r for r in roots_by_closure(datum.cartan_matrix()) if min(r) >= 0)
+    return sorted(r for r in roots_by_closure(datum.cartan) if min(r) >= 0)
 
 
 def _right_multiply(cartan, cols, j) -> None:

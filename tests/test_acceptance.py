@@ -26,11 +26,8 @@ from innerforms.globalize import (
 from innerforms.grothendieck import (
     BasisElement,
     VirtualElement,
-    gl2_principal_series,
-    gl2_trivial,
     inner_side,
     lj_map,
-    steinberg,
     zero,
 )
 from innerforms.kottwitz import kottwitz_group
@@ -50,6 +47,9 @@ from oracles import (
     cofactor_det,
     coords_to_vector,
     count_square_roots,
+    gl2_principal_series,
+    gl2_trivial,
+    steinberg,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -108,7 +108,7 @@ def test_criterion_kottwitz_orders(capsys):
     )
     for series, rank in types:
         datum = adjoint_datum(series, rank)
-        det = abs(cofactor_det(datum.cartan_matrix()))
+        det = abs(cofactor_det(datum.cartan))
         assert det == cartan_determinant_closed_form(series, rank)
         assert fundamental_group(datum).order == det
     with capsys.disabled():

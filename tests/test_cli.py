@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,53 @@ def test_place_cap_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: 1000000000 places requested, above the limit of 4096\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("globalize", "--prime", "1000000000039", "--places", "64"),
+         "prime 1000000000039 is above the limit of 1000000"),
+        (("globalize", "--prime", "10000000000000061", "--places", "1"),
+         "prime 10000000000000061 is above the limit of 1000000"),
+        (("division-algebra", "--n", "2", "--inv", "v1@10000000000000061=1/2,v2=1/2"),
+         "finite place 'v1@10000000000000061': prime 10000000000000061 is above the limit "
+         "of 1000000"),
+    ],
+)
+def test_prime_cap_is_a_usage_error(capsys, argv, message):
+    # trial division of these primes takes seconds to hours; the cap answers at once
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_largest_prime_under_the_cap_is_admitted(capsys):
+    code, payload = run_json(capsys, "globalize", "--prime", "999983", "--places", "4096")
+    assert code == 0
+    assert payload["base_prime"] == 999983
+    assert len(payload["places"]) == 4096
+    code, payload = run_json(
+        capsys, "division-algebra", "--n", "2", "--inv", "v1@999983=1/2,v2=1/2"
+    )
+    assert code == 0
+    assert payload["valid"] is True
+
+
+@pytest.mark.parametrize("command", [["levi", "GL(4)"], ["satake", "--group", "GL(4)"],
+                                     ["weyl", "GL(4)"]])
+@pytest.mark.parametrize("order", [0, 1])
+def test_remove_and_theta_together_are_a_usage_error(capsys, command, order):
+    flags = [["--remove", "a1"], ["--theta", "0,1"]]
+    with pytest.raises(SystemExit) as info:
+        main([*command, *flags[order], *flags[1 - order]])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -45,13 +45,14 @@ indices = mostly(listed(st.integers(0, 5)))
 
 @st.composite
 def levi_options(draw):
-    """Nothing, --remove or --theta, possibly out of range or malformed."""
-    kind = draw(st.sampled_from(["none", "remove", "theta"]))
-    if kind == "none":
-        return []
-    if kind == "remove":
-        return ["--remove", draw(indices.map(lambda x: "a" + x.replace(",", ",a")))]
-    return ["--theta", draw(indices)]
+    """Nothing, --remove, --theta or both (a usage error), possibly out of range or malformed."""
+    kind = draw(st.sampled_from(["none", "remove", "theta", "both"]))
+    options = []
+    if kind in ("remove", "both"):
+        options += ["--remove", draw(indices.map(lambda x: "a" + x.replace(",", ",a")))]
+    if kind in ("theta", "both"):
+        options += ["--theta", draw(indices)]
+    return options
 
 
 @st.composite

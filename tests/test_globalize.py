@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from innerforms import globalize
 from innerforms.errors import GroupSpecError, TransferError
 from innerforms.globalize import (
     MAX_PLACES,
+    MAX_PRIME,
     HasseVector,
     PlaceLabel,
     build_cocycle,
@@ -140,6 +142,26 @@ def test_place_cap_is_inclusive():
         plan_places(5, MAX_PLACES + 1)
 
 
+def test_prime_cap_refuses_before_any_division(monkeypatch):
+    def no_division(n):
+        raise AssertionError(f"is_prime({n}) ran")
+
+    monkeypatch.setattr(globalize, "is_prime", no_division)
+    with pytest.raises(GroupSpecError, match=f"^prime {MAX_PRIME + 3} is above the limit of "):
+        split_primes(MAX_PRIME + 3, 1)
+    with pytest.raises(GroupSpecError, match="^prime 10000000000000061 is above the limit"):
+        plan_globalization(10000000000000061, 4096, 2)
+    with pytest.raises(GroupSpecError, match=f"^finite place 'w': prime {10**20 + 39} is above"):
+        PlaceLabel(id="w", kind="finite", prime=10**20 + 39)
+
+
+def test_largest_prime_under_the_cap_is_admitted():
+    largest = next(p for p in range(MAX_PRIME, 1, -1) if is_prime(p))
+    assert len(split_primes(largest, 2)) == 2
+    assert PlaceLabel(id="w", kind="finite", prime=largest).prime == largest
+    assert len(plan_places(largest, MAX_PLACES).places) == MAX_PLACES
+
+
 # ---------------------------------------------------------------------------
 # cocycles
 
@@ -195,8 +217,9 @@ def test_plan_globalization_assembles_cocycle():
     assert plan.s_multiple_of == 2
     assert len(plan.s_places) == 2
     assert plan.cocycle.total() == 0
-    assert plan.cocycle.value("v0") == Fraction(1, 2)
-    assert plan.cocycle.value("v2") == 0
+    entries = {place.id: value for place, value in plan.cocycle.entries}
+    assert entries["v0"] == Fraction(1, 2)
+    assert "v2" not in entries
 
 
 def test_plan_globalization_needs_enough_places():
@@ -311,6 +334,6 @@ def test_place_label_validation():
 def test_hasse_vector_canonicalization():
     place = finite("v1")
     vec = HasseVector.from_items([(place, Fraction(7, 2))])
-    assert vec.value("v1") == Fraction(1, 2)
+    assert vec.entries == ((place, Fraction(1, 2)),)
     with pytest.raises(GroupSpecError):
         HasseVector.from_items([(place, Fraction(1, 2)), (place, Fraction(1, 3))])

@@ -14,8 +14,6 @@ from innerforms.grothendieck import (
     TensorElement,
     VirtualElement,
     character_sign,
-    gl2_principal_series,
-    gl2_trivial,
     global_d_compatibility,
     inner_side,
     is_d_compatible,
@@ -23,12 +21,17 @@ from innerforms.grothendieck import (
     lj_map,
     parse_virtual,
     split_side,
-    steinberg,
     tensor,
     tensor_lj,
     zero,
 )
-from oracles import lj_by_terms, parse_virtual_by_terms
+from oracles import (
+    gl2_principal_series,
+    gl2_trivial,
+    lj_by_terms,
+    parse_virtual_by_terms,
+    steinberg,
+)
 
 
 def elem(comp, tags, side=None):

@@ -55,7 +55,7 @@ IRREDUCIBLE_TYPES = (
 @pytest.mark.parametrize("series,rank", IRREDUCIBLE_TYPES)
 def test_adjoint_kottwitz_order_is_cartan_determinant(series, rank):
     datum = adjoint_datum(series, rank)
-    det = abs(cofactor_det(datum.cartan_matrix()))
+    det = abs(cofactor_det(datum.cartan))
     assert kottwitz_group(datum).order == det
     assert det == cartan_determinant_closed_form(series, rank)
 

@@ -16,15 +16,14 @@ from innerforms.rootdata import build_catalog_group, datum_product, dynkin_compo
 from innerforms.satake import (
     SatakeDiagram,
     _tokenize_chain,
-    canonical_diagram,
     levi_satake_diagram,
     parse_ascii,
     render_ascii,
     transfer_levi,
+    type_a_black_positions,
     type_a_satake,
-    validate_type_a_period,
 )
-from oracles import parse_component_by_series_rules
+from oracles import canonical_diagram, parse_component_by_series_rules
 
 
 def black_set(diagram):
@@ -60,8 +59,9 @@ def test_type_a_requires_divisor():
 
 
 def test_validate_type_a_period():
-    assert validate_type_a_period(type_a_satake(8, 2), 2)
-    assert not validate_type_a_period(type_a_satake(8, 2), 4)
+    black = type_a_satake(8, 2).black
+    assert black == set(type_a_black_positions(8, 2))
+    assert black != set(type_a_black_positions(8, 4))
 
 
 def test_render_b_and_c_patterns():
@@ -455,8 +455,8 @@ def test_catalog_outputs_deterministic():
 
 
 def test_levi_shares_derived_type_with_envelope():
-    from innerforms.satake import shares_derived_type_with_envelope
-
+    # a sandwich Levi and its GL-envelope have the same derived root system,
+    # a product of type-A systems of ranks n_i - 1
     for entry in appendix_catalog():
         if entry.sample_group is None or entry.sample_removed is None:
             continue
@@ -464,8 +464,10 @@ def test_levi_shares_derived_type_with_envelope():
             continue
         report = report_for(entry.sample_group[0], list(entry.sample_group[1]),
                             list(entry.sample_removed))
-        assert shares_derived_type_with_envelope(report)
-    assert not shares_derived_type_with_envelope(report_for("F4", [], [0]))
+        assert report.condition_one
+        envelope_derived = tuple(sorted(("A", n - 1) for n in report.gl_envelope if n > 1))
+        assert envelope_derived == report.derived_type.components
+    assert not report_for("F4", [], [0]).condition_one
 
 
 def test_5b_note_period_three_diagram_claim():

@@ -107,7 +107,7 @@ def test_weyl_order_bound():
 )
 def test_root_generation_matches_reflection_closure(series, rank):
     datum = simply_connected_datum(series, rank)
-    roots = roots_by_closure(datum.cartan_matrix())
+    roots = roots_by_closure(datum.cartan)
     positives = [coords for coords, _ in datum.positive_roots]
     assert set(positives) == {r for r in roots if all(c >= 0 for c in r)}
     assert len(positives) == positive_root_count(series, rank)
