@@ -3,11 +3,12 @@
 Each entry records, verbatim, the classical description of a Levi subgroup
 M of a split group G satisfying the SL-GL sandwich condition, together with
 the division-algebra shape of the corresponding Levi M' in a non-split
-inner form G'.  The entries carry concrete sample instantiations so the
-whole table can be recomputed by ``analyze_levi`` + ``transfer_levi``; the
-one internally inconsistent source value, in entry (5)(b), is preserved,
-flagged, and accompanied by the arithmetically consistent candidates rather
-than silently corrected.
+inner form G'.  Each entry carries one ``Sample``, a concrete group and the
+simple roots removed from it, so the whole table can be recomputed by
+``analyze_levi`` + ``transfer_levi``; a variant sets its own sample only when
+the entry's rank cannot carry it.  The one internally inconsistent source
+value, in entry (5)(b), is preserved, flagged, and accompanied by the
+arithmetically consistent candidates rather than silently corrected.
 
 Source-text quirks that recomputation contradicts (index shifts and one
 exactness claim) are kept verbatim and called out in ``notes``; they are
@@ -18,16 +19,17 @@ from __future__ import annotations
 
 from ._record import Record
 from .kottwitz import ad_quotient_order
-from .levi import LeviDescriptor, analyze_levi, remove_indices
+from .levi import LeviDescriptor, LeviReport, analyze_levi, remove_indices
 from .rootdata import build_catalog_group
 from .satake import transfer_levi
 
 GroupTag = tuple[str, tuple[int, ...]]  # (catalog tag, parameters)
-Sample = tuple[GroupTag, tuple[int, ...], tuple[int, ...]]  # (group, removed, degrees)
+Sample = tuple[GroupTag, tuple[int, ...]]  # (group, removed simple roots)
 
 
 class CatalogVariant(Record):
-    """One inner-form variant of an entry (some entries have two)."""
+    """One inner-form variant of an entry (some entries have two); ``sample``
+    is set only where the entry's sample has too small a rank."""
 
     mprime_paper: str
     label: str = ""
@@ -48,14 +50,13 @@ class AppendixEntry(Record):
     theta_bourbaki: str
     m_paper: str
     variants: tuple[CatalogVariant, ...]
+    sample: Sample
     m_der_paper: str | None = None
     mtilde_paper: str | None = None
     m_computed: str | None = None
     figure: str | None = None
     exact_expected: bool | None = None
     notes: tuple[str, ...] = ()
-    sample_group: GroupTag | None = None
-    sample_removed: tuple[int, ...] | None = None
     expected_components: tuple[tuple[str, int], ...] | None = None
 
 
@@ -107,30 +108,6 @@ FIG_E7 = (
 )
 
 
-def _v(
-    mprime,
-    degrees=None,
-    expected=None,
-    label="",
-    condition="",
-    sample=None,
-    flags=(),
-    claim=None,
-    alternatives=(),
-):
-    return CatalogVariant(
-        mprime_paper=mprime,
-        label=label,
-        condition=condition,
-        degrees=tuple(degrees) if degrees is not None else None,
-        expected_factors=tuple(expected) if expected is not None else None,
-        sample=sample,
-        flags=tuple(flags),
-        paper_claim_md=claim,
-        alternatives=tuple(alternatives),
-    )
-
-
 APPENDIX: tuple[AppendixEntry, ...] = (
     AppendixEntry(
         key="1a",
@@ -142,14 +119,13 @@ APPENDIX: tuple[AppendixEntry, ...] = (
         m_paper="M = M_θ = GL_{m_1 d} × GL_{m_2 d} = M̃,  m_1 d + m_2 d = n+1",
         mtilde_paper="GL_{m_1 d} × GL_{m_2 d}",
         exact_expected=True,
-        sample_group=("GL", (6,)),
-        sample_removed=(1,),
+        sample=(("GL", (6,)), (1,)),
         expected_components=(("A", 1), ("A", 3)),
         variants=(
-            _v(
-                "M'(F) = GL_{m_1}(D_d) × GL_{m_2}(D_d)",
+            CatalogVariant(
+                mprime_paper="M'(F) = GL_{m_1}(D_d) × GL_{m_2}(D_d)",
                 degrees=(2, 2),
-                expected=((1, 2), (2, 2)),
+                expected_factors=((1, 2), (2, 2)),
             ),
         ),
     ),
@@ -166,14 +142,13 @@ APPENDIX: tuple[AppendixEntry, ...] = (
         ),
         mtilde_paper="GL_{m_1 d} × GL_{m_2 d}",
         exact_expected=False,
-        sample_group=("SL", (6,)),
-        sample_removed=(1,),
+        sample=(("SL", (6,)), (1,)),
         expected_components=(("A", 1), ("A", 3)),
         variants=(
-            _v(
-                "M'(F) = G'(F) ∩ (GL_{m_1}(D_d) × GL_{m_2}(D_d))",
+            CatalogVariant(
+                mprime_paper="M'(F) = G'(F) ∩ (GL_{m_1}(D_d) × GL_{m_2}(D_d))",
                 degrees=(2, 2),
-                expected=((1, 2), (2, 2)),
+                expected_factors=((1, 2), (2, 2)),
             ),
         ),
     ),
@@ -192,14 +167,13 @@ APPENDIX: tuple[AppendixEntry, ...] = (
             "the source's GL_n factor is the computed GL_{n−1} "
             "(rank of Spin_{2n+1} is n)",
         ),
-        sample_group=("Spin", (9,)),
-        sample_removed=(2,),
+        sample=(("Spin", (9,)), (2,)),
         expected_components=(("A", 2), ("A", 1)),
         variants=(
-            _v(
-                "M'(F) ≃ GL_n(F) × SL_1(D_2)",
+            CatalogVariant(
+                mprime_paper="M'(F) ≃ GL_n(F) × SL_1(D_2)",
                 degrees=(1, 2),
-                expected=((3, 1), (1, 2)),
+                expected_factors=((3, 1), (1, 2)),
             ),
         ),
     ),
@@ -215,14 +189,13 @@ APPENDIX: tuple[AppendixEntry, ...] = (
         m_computed="GL_{n−1} × GL_2 (exact)",
         exact_expected=True,
         notes=("same index shift as (2)(a): computed first factor is GL_{n−1}",),
-        sample_group=("GSpin", (9,)),
-        sample_removed=(2,),
+        sample=(("GSpin", (9,)), (2,)),
         expected_components=(("A", 2), ("A", 1)),
         variants=(
-            _v(
-                "M'(F) ≃ GL_n(F) × GL_1(D_2)",
+            CatalogVariant(
+                mprime_paper="M'(F) ≃ GL_n(F) × GL_1(D_2)",
                 degrees=(1, 2),
-                expected=((3, 1), (1, 2)),
+                expected_factors=((3, 1), (1, 2)),
             ),
         ),
     ),
@@ -236,14 +209,13 @@ APPENDIX: tuple[AppendixEntry, ...] = (
         m_paper="M = M_θ ≃ GL_n = M̃  (the Siegel Levi subgroup)",
         mtilde_paper="GL_n",
         exact_expected=True,
-        sample_group=("Sp", (8,)),
-        sample_removed=(3,),
+        sample=(("Sp", (8,)), (3,)),
         expected_components=(("A", 3),),
         variants=(
-            _v(
-                "M'(F) ≃ GL_{n/2}(D_2)",
+            CatalogVariant(
+                mprime_paper="M'(F) ≃ GL_{n/2}(D_2)",
                 degrees=(2,),
-                expected=((2, 2),),
+                expected_factors=((2, 2),),
             ),
         ),
     ),
@@ -257,14 +229,13 @@ APPENDIX: tuple[AppendixEntry, ...] = (
         m_paper="M = M_θ ≃ GL_n × GL_1 = M̃",
         mtilde_paper="GL_n × GL_1",
         exact_expected=True,
-        sample_group=("GSp", (8,)),
-        sample_removed=(3,),
+        sample=(("GSp", (8,)), (3,)),
         expected_components=(("A", 3),),
         variants=(
-            _v(
-                "M'(F) ≃ GL_{n/2}(D_2) × GL_1(F)",
+            CatalogVariant(
+                mprime_paper="M'(F) ≃ GL_{n/2}(D_2) × GL_1(F)",
                 degrees=(2,),
-                expected=((2, 2),),
+                expected_factors=((2, 2),),
             ),
         ),
     ),
@@ -278,14 +249,13 @@ APPENDIX: tuple[AppendixEntry, ...] = (
         m_paper="M = M_θ ≃ GL_{n−1} × SL_2 ↪ GL_{n−1} × GL_2 = M̃",
         mtilde_paper="GL_{n−1} × GL_2",
         exact_expected=False,
-        sample_group=("Sp", (10,)),
-        sample_removed=(3,),
+        sample=(("Sp", (10,)), (3,)),
         expected_components=(("A", 3), ("A", 1)),
         variants=(
-            _v(
-                "M'(F) ≃ GL_{(n−1)/2}(D_2) × SL_1(D_2)",
+            CatalogVariant(
+                mprime_paper="M'(F) ≃ GL_{(n−1)/2}(D_2) × SL_1(D_2)",
                 degrees=(2, 2),
-                expected=((2, 2), (1, 2)),
+                expected_factors=((2, 2), (1, 2)),
             ),
         ),
     ),
@@ -301,14 +271,13 @@ APPENDIX: tuple[AppendixEntry, ...] = (
         m_computed="GL_{n−1} × GL_2 (exact)",
         exact_expected=True,
         notes=("the source's GL_n is the computed GL_{n−1}, matching the stated M'",),
-        sample_group=("GSp", (10,)),
-        sample_removed=(3,),
+        sample=(("GSp", (10,)), (3,)),
         expected_components=(("A", 3), ("A", 1)),
         variants=(
-            _v(
-                "M'(F) ≃ GL_{(n−1)/2}(D_2) × GL_1(D_2)",
+            CatalogVariant(
+                mprime_paper="M'(F) ≃ GL_{(n−1)/2}(D_2) × GL_1(D_2)",
                 degrees=(2, 2),
-                expected=((2, 2), (1, 2)),
+                expected_factors=((2, 2), (1, 2)),
             ),
         ),
     ),
@@ -323,14 +292,13 @@ APPENDIX: tuple[AppendixEntry, ...] = (
         m_der_paper="SL_n",
         mtilde_paper="GL_1 × GL_n",
         exact_expected=False,
-        sample_group=("Spin", (8,)),
-        sample_removed=(3,),
+        sample=(("Spin", (8,)), (3,)),
         expected_components=(("A", 3),),
         variants=(
-            _v(
-                "M'(F) ↪ GL_1(F) × GL_{n/2}(D_2) = M̃'(F)",
+            CatalogVariant(
+                mprime_paper="M'(F) ↪ GL_1(F) × GL_{n/2}(D_2) = M̃'(F)",
                 degrees=(2,),
-                expected=((2, 2),),
+                expected_factors=((2, 2),),
             ),
         ),
     ),
@@ -344,14 +312,13 @@ APPENDIX: tuple[AppendixEntry, ...] = (
         m_paper="M = M_θ ≃ GL_1 × GL_n = M̃",
         mtilde_paper="GL_1 × GL_n",
         exact_expected=True,
-        sample_group=("GSpin", (8,)),
-        sample_removed=(3,),
+        sample=(("GSpin", (8,)), (3,)),
         expected_components=(("A", 3),),
         variants=(
-            _v(
-                "M'(F) ≃ GL_1 × GL_{n/2}(D_2)",
+            CatalogVariant(
+                mprime_paper="M'(F) ≃ GL_1 × GL_{n/2}(D_2)",
                 degrees=(2,),
-                expected=((2, 2),),
+                expected_factors=((2, 2),),
             ),
         ),
     ),
@@ -365,14 +332,13 @@ APPENDIX: tuple[AppendixEntry, ...] = (
         m_paper="M = M_θ ≃ GL_n = M̃  (the Siegel Levi subgroup)",
         mtilde_paper="GL_n",
         exact_expected=True,
-        sample_group=("SO", (8,)),
-        sample_removed=(3,),
+        sample=(("SO", (8,)), (3,)),
         expected_components=(("A", 3),),
         variants=(
-            _v(
-                "M'(F) ≃ GL_{n/2}(D_2)",
+            CatalogVariant(
+                mprime_paper="M'(F) ≃ GL_{n/2}(D_2)",
                 degrees=(2,),
-                expected=((2, 2),),
+                expected_factors=((2, 2),),
             ),
         ),
     ),
@@ -390,23 +356,22 @@ APPENDIX: tuple[AppendixEntry, ...] = (
         m_der_paper="SL_{n−2} × SL_2 × SL_2",
         mtilde_paper="GL_1 × GL_{n−2} × GL_2 × GL_2",
         exact_expected=False,
-        sample_group=("Spin", (12,)),
-        sample_removed=(3,),
+        sample=(("Spin", (12,)), (3,)),
         expected_components=(("A", 3), ("A", 1), ("A", 1)),
         variants=(
-            _v(
-                "M'(F) ↪ GL_1(F) × GL_{n−2}(F) × GL_1(D_2) × GL_1(D_2) = M̃'(F)",
+            CatalogVariant(
+                mprime_paper="M'(F) ↪ GL_1(F) × GL_{n−2}(F) × GL_1(D_2) × GL_1(D_2) = M̃'(F)",
                 label="upper",
                 condition="any n",
                 degrees=(1, 2, 2),
-                expected=((4, 1), (1, 2), (1, 2)),
+                expected_factors=((4, 1), (1, 2), (1, 2)),
             ),
-            _v(
-                "M'(F) ↪ GL_1(F) × GL_{n−2}(F) × GL_1(D_2) × GL_2(F) = M̃'(F)",
+            CatalogVariant(
+                mprime_paper="M'(F) ↪ GL_1(F) × GL_{n−2}(F) × GL_1(D_2) × GL_2(F) = M̃'(F)",
                 label="lower",
                 condition="n even",
                 degrees=(1, 2, 1),
-                expected=((4, 1), (1, 2), (2, 1)),
+                expected_factors=((4, 1), (1, 2), (2, 1)),
             ),
         ),
     ),
@@ -426,23 +391,22 @@ APPENDIX: tuple[AppendixEntry, ...] = (
             "recomputation reports a proper sandwich",
             "the GL_1(F) leading the stated M' has no counterpart in the stated M̃",
         ),
-        sample_group=("GSpin", (12,)),
-        sample_removed=(3,),
+        sample=(("GSpin", (12,)), (3,)),
         expected_components=(("A", 3), ("A", 1), ("A", 1)),
         variants=(
-            _v(
-                "M'(F) ≃ GL_1(F) × GL_{n−2}(F) × GL_1(D_2) × GL_1(D_2)",
+            CatalogVariant(
+                mprime_paper="M'(F) ≃ GL_1(F) × GL_{n−2}(F) × GL_1(D_2) × GL_1(D_2)",
                 label="upper",
                 condition="any n",
                 degrees=(1, 2, 2),
-                expected=((4, 1), (1, 2), (1, 2)),
+                expected_factors=((4, 1), (1, 2), (1, 2)),
             ),
-            _v(
-                "M'(F) ≃ GL_1(F) × GL_{n−2}(F) × GL_1(D_2) × GL_2(F)",
+            CatalogVariant(
+                mprime_paper="M'(F) ≃ GL_1(F) × GL_{n−2}(F) × GL_1(D_2) × GL_2(F)",
                 label="lower",
                 condition="n even",
                 degrees=(1, 2, 1),
-                expected=((4, 1), (1, 2), (2, 1)),
+                expected_factors=((4, 1), (1, 2), (2, 1)),
             ),
         ),
     ),
@@ -460,24 +424,23 @@ APPENDIX: tuple[AppendixEntry, ...] = (
         m_der_paper="SL_{n−3} × SL_4",
         mtilde_paper="GL_1 × GL_{n−3} × GL_4",
         exact_expected=False,
-        sample_group=("Spin", (12,)),
-        sample_removed=(2,),
+        sample=(("Spin", (12,)), (2,)),
         expected_components=(("A", 2), ("A", 3)),
         variants=(
-            _v(
-                "M'(F) ↪ GL_1(F) × GL_{n−3}(F) × GL_2(D_2) = M̃'(F)",
+            CatalogVariant(
+                mprime_paper="M'(F) ↪ GL_1(F) × GL_{n−3}(F) × GL_2(D_2) = M̃'(F)",
                 label="upper",
                 condition="any n",
                 degrees=(1, 2),
-                expected=((3, 1), (2, 2)),
+                expected_factors=((3, 1), (2, 2)),
             ),
-            _v(
-                "M'(F) ↪ GL_1(F) × GL_{(n−3)/2}(D_2) × GL_1(D_4) = M̃'(F)",
+            CatalogVariant(
+                mprime_paper="M'(F) ↪ GL_1(F) × GL_{(n−3)/2}(D_2) × GL_1(D_4) = M̃'(F)",
                 label="lower",
                 condition="n odd",
                 degrees=(2, 4),
-                expected=((2, 2), (1, 4)),
-                sample=(("Spin", (14,)), (3,), (2, 4)),
+                expected_factors=((2, 2), (1, 4)),
+                sample=(("Spin", (14,)), (3,)),
             ),
         ),
     ),
@@ -498,24 +461,23 @@ APPENDIX: tuple[AppendixEntry, ...] = (
             "the source asserts M = M̃; recomputation reports a proper sandwich "
             "(the fork component carries a nontrivial lattice gluing)",
         ),
-        sample_group=("GSpin", (12,)),
-        sample_removed=(2,),
+        sample=(("GSpin", (12,)), (2,)),
         expected_components=(("A", 2), ("A", 3)),
         variants=(
-            _v(
-                "M'(F) ≃ GL_{n−2}(F) × GL_2(D_2)",
+            CatalogVariant(
+                mprime_paper="M'(F) ≃ GL_{n−2}(F) × GL_2(D_2)",
                 label="upper",
                 condition="any n",
                 degrees=(1, 2),
-                expected=((3, 1), (2, 2)),
+                expected_factors=((3, 1), (2, 2)),
             ),
-            _v(
-                "M'(F) ≃ GL_{(n−2)/2}(D_2) × GL_1(D_4)",
+            CatalogVariant(
+                mprime_paper="M'(F) ≃ GL_{(n−2)/2}(D_2) × GL_1(D_4)",
                 label="lower",
                 condition="n odd",
                 degrees=(2, 4),
-                expected=((2, 2), (1, 4)),
-                sample=(("GSpin", (14,)), (3,), (2, 4)),
+                expected_factors=((2, 2), (1, 4)),
+                sample=(("GSpin", (14,)), (3,)),
             ),
         ),
     ),
@@ -534,14 +496,13 @@ APPENDIX: tuple[AppendixEntry, ...] = (
         m_der_paper="SL_3 × SL_3 × SL_2",
         mtilde_paper="GL_1 × GL_3 × GL_3 × GL_2",
         exact_expected=False,
-        sample_group=("E6sc", ()),
-        sample_removed=(3,),
+        sample=(("E6sc", ()), (3,)),
         expected_components=(("A", 2), ("A", 1), ("A", 2)),
         variants=(
-            _v(
-                "M'(F) ↪ GL_1 × GL_1(D_3) × GL_1(D_3) × GL_2(F) = M̃'(F)",
+            CatalogVariant(
+                mprime_paper="M'(F) ↪ GL_1 × GL_1(D_3) × GL_1(D_3) × GL_2(F) = M̃'(F)",
                 degrees=(3, 1, 3),
-                expected=((1, 3), (2, 1), (1, 3)),
+                expected_factors=((1, 3), (2, 1), (1, 3)),
             ),
         ),
     ),
@@ -556,14 +517,13 @@ APPENDIX: tuple[AppendixEntry, ...] = (
         m_der_paper="SL_6",
         mtilde_paper="GL_1 × GL_6",
         exact_expected=False,
-        sample_group=("E6sc", ()),
-        sample_removed=(1,),
+        sample=(("E6sc", ()), (1,)),
         expected_components=(("A", 5),),
         variants=(
-            _v(
-                "M'(F) ↪ GL_1(F) × GL_2(D_2) = M̃'(F)",
+            CatalogVariant(
+                mprime_paper="M'(F) ↪ GL_1(F) × GL_2(D_2) = M̃'(F)",
                 flags=("inconsistent-m-times-d",),
-                claim=(2, 2),
+                paper_claim_md=(2, 2),
                 alternatives=("GL_3(D_2)", "GL_2(D_3)", "GL_1(D_6)"),
             ),
         ),
@@ -588,14 +548,13 @@ APPENDIX: tuple[AppendixEntry, ...] = (
         mtilde_paper="GL_1 × GL_3 × GL_3",
         exact_expected=False,
         notes=("not a maximal Levi; listed with the other E_6 Levi types",),
-        sample_group=("E6sc", ()),
-        sample_removed=(1, 3),
+        sample=(("E6sc", ()), (1, 3)),
         expected_components=(("A", 2), ("A", 2)),
         variants=(
-            _v(
-                "M'(F) ↪ GL_1(F) × GL_1(D_3) × GL_1(D_3) = M̃'(F)",
+            CatalogVariant(
+                mprime_paper="M'(F) ↪ GL_1(F) × GL_1(D_3) × GL_1(D_3) = M̃'(F)",
                 degrees=(3, 3),
-                expected=((1, 3), (1, 3)),
+                expected_factors=((1, 3), (1, 3)),
             ),
         ),
     ),
@@ -614,14 +573,13 @@ APPENDIX: tuple[AppendixEntry, ...] = (
         m_der_paper="SL_2 × SL_3 × SL_4",
         mtilde_paper="GL_1 × GL_2 × GL_3 × GL_4",
         exact_expected=False,
-        sample_group=("E7sc", ()),
-        sample_removed=(3,),
+        sample=(("E7sc", ()), (3,)),
         expected_components=(("A", 2), ("A", 1), ("A", 3)),
         variants=(
-            _v(
-                "M'(F) ↪ GL_1(F) × GL_1(D_2) × GL_3(F) × GL_2(D_2) = M̃'(F)",
+            CatalogVariant(
+                mprime_paper="M'(F) ↪ GL_1(F) × GL_1(D_2) × GL_3(F) × GL_2(D_2) = M̃'(F)",
                 degrees=(1, 2, 2),
-                expected=((3, 1), (1, 2), (2, 2)),
+                expected_factors=((3, 1), (1, 2), (2, 2)),
             ),
         ),
     ),
@@ -639,14 +597,13 @@ APPENDIX: tuple[AppendixEntry, ...] = (
         m_der_paper="SL_6 × SL_2",
         mtilde_paper="GL_1 × GL_6 × GL_2",
         exact_expected=False,
-        sample_group=("E7sc", ()),
-        sample_removed=(2,),
+        sample=(("E7sc", ()), (2,)),
         expected_components=(("A", 1), ("A", 5)),
         variants=(
-            _v(
-                "M'(F) ↪ GL_1(F) × GL_3(D_2) × GL_2(F) = M̃'(F)",
+            CatalogVariant(
+                mprime_paper="M'(F) ↪ GL_1(F) × GL_3(D_2) × GL_2(F) = M̃'(F)",
                 degrees=(1, 2),
-                expected=((2, 1), (3, 2)),
+                expected_factors=((2, 1), (3, 2)),
             ),
         ),
     ),
@@ -658,7 +615,7 @@ APPENDIX: tuple[AppendixEntry, ...] = (
         theta_bourbaki="-",
         m_paper="no non-quasi-split inner forms (the adjoint group is simply connected)",
         variants=(),
-        sample_group=("E8", ()),
+        sample=(("E8", ()), ()),
     ),
     AppendixEntry(
         key="7-F4",
@@ -668,7 +625,7 @@ APPENDIX: tuple[AppendixEntry, ...] = (
         theta_bourbaki="-",
         m_paper="no non-quasi-split inner forms (the adjoint group is simply connected)",
         variants=(),
-        sample_group=("F4", ()),
+        sample=(("F4", ()), ()),
     ),
     AppendixEntry(
         key="7-G2",
@@ -678,7 +635,7 @@ APPENDIX: tuple[AppendixEntry, ...] = (
         theta_bourbaki="-",
         m_paper="no non-quasi-split inner forms (the adjoint group is simply connected)",
         variants=(),
-        sample_group=("G2", ()),
+        sample=(("G2", ()), ()),
     ),
 )
 
@@ -693,6 +650,11 @@ def _build_group(group: GroupTag):
     return build_catalog_group(tag, list(params))
 
 
+def _analyze(sample: Sample) -> LeviReport:
+    group = _build_group(sample[0])
+    return analyze_levi(LeviDescriptor(group, remove_indices(group, sample[1])))
+
+
 def verify_catalog() -> tuple[list[str], list[str]]:
     """Recompute every entry; return (violations, flags_seen).
 
@@ -704,22 +666,15 @@ def verify_catalog() -> tuple[list[str], list[str]]:
     violations: list[str] = []
     flags_seen: list[str] = []
     for entry in APPENDIX:
-        group = _build_group(entry.sample_group)
         if not entry.variants:
-            if ad_quotient_order(group) != 1:
+            if ad_quotient_order(_build_group(entry.sample[0])) != 1:
                 violations.append(f"{entry.key}: expected |A(G^ad)| = 1")
             continue
-        desc = LeviDescriptor(group, remove_indices(group, entry.sample_removed))
-        report = analyze_levi(desc)
+        report = _analyze(entry.sample)
         if not report.condition_one:
             violations.append(f"{entry.key}: sandwich condition fails at sample")
             continue
-        comps = tuple(
-            sorted(
-                (series, rank)
-                for series, rank in report.derived_type.components
-            )
-        )
+        comps = tuple(sorted(report.derived_type.components))
         if comps != tuple(sorted(entry.expected_components)):
             violations.append(
                 f"{entry.key}: components {comps} != expected {entry.expected_components}"
@@ -750,17 +705,8 @@ def verify_catalog() -> tuple[list[str], list[str]]:
                             f"{tag}: candidate list {variant.alternatives} != {expected_alts}"
                         )
                 continue
-            if variant.sample is not None:
-                vgroup = _build_group(variant.sample[0])
-                vdesc = LeviDescriptor(
-                    vgroup, remove_indices(vgroup, variant.sample[1])
-                )
-                vreport = analyze_levi(vdesc)
-                degrees = variant.sample[2]
-            else:
-                vreport = report
-                degrees = variant.degrees
-            shape = transfer_levi(vreport, degrees)
+            vreport = report if variant.sample is None else _analyze(variant.sample)
+            shape = transfer_levi(vreport, variant.degrees)
             got = tuple(sorted((f.m, f.d) for f in shape.factors))
             want = tuple(sorted(variant.expected_factors))
             if got != want:
@@ -849,8 +795,8 @@ def catalog_json() -> dict:
                 "envelope_exact": entry.exact_expected,
                 "notes": list(entry.notes),
                 "sample": {
-                    "group": list(entry.sample_group) if entry.sample_group else None,
-                    "removed": list(entry.sample_removed or ()),
+                    "group": list(entry.sample[0]),
+                    "removed": list(entry.sample[1]),
                     "components": [list(c) for c in entry.expected_components or ()],
                 },
                 "inner_forms": [

@@ -19,6 +19,13 @@ from .errors import GroupSpecError, TransferError
 #: takes about 0.2 s on a 2-vCPU host.
 MAX_PRIME = 10**6
 
+# most places a plan may list; each one is a PlaceLabel held in memory
+MAX_PLACES = 4096
+
+#: Most split primes ``split_primes`` searches for: the tower primes a plan of
+#: MAX_PLACES places needs (degree 2^12 = 4096).
+MAX_TOWER_PRIMES = (MAX_PLACES - 1).bit_length()
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -63,10 +70,15 @@ def prime_splits_in_quadratic(p: int, q: int) -> bool:
 def split_primes(p: int, count: int) -> list[int]:
     """First ``count`` odd primes q (increasing, q != p) with p split in Q(sqrt(q*)).
 
-    Raises GroupSpecError for p above :data:`MAX_PRIME`, before testing it.
+    Raises GroupSpecError for p above :data:`MAX_PRIME` or ``count`` above
+    :data:`MAX_TOWER_PRIMES`, before testing any number.
     """
     if p > MAX_PRIME:
         raise GroupSpecError(f"prime {p} is above the limit of {MAX_PRIME}")
+    if count > MAX_TOWER_PRIMES:
+        raise GroupSpecError(
+            f"{count} split primes requested, above the limit of {MAX_TOWER_PRIMES}"
+        )
     if not is_prime(p):
         raise GroupSpecError(f"{p} is not prime")
     if count < 0:
@@ -145,9 +157,6 @@ class HasseVector(Record):
 
 # ---------------------------------------------------------------------------
 # place plans
-
-# most places a plan may list; each one is a PlaceLabel held in memory
-MAX_PLACES = 4096
 
 
 class GlobalizationPlan(Record):

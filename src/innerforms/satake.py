@@ -165,7 +165,7 @@ _GLYPHS = {
     True: {  # unicode
         "black": "●",
         "white": "○",
-        1: "—",
+        (1, ""): "—",
         (2, "right"): "⇒",
         (2, "left"): "⇐",
         (3, "right"): "⇛",
@@ -174,13 +174,17 @@ _GLYPHS = {
     False: {  # ascii
         "black": "*",
         "white": "o",
-        1: "--",
+        (1, ""): "--",
         (2, "right"): "=>",
         (2, "left"): "<=",
         (3, "right"): "3>",
         (3, "left"): "<3",
     },
 }
+# the parser reads both alphabets: vertex glyph -> black?, bond glyph -> (mult, arrow)
+_VERTICES = {g[color]: color == "black" for g in _GLYPHS.values() for color in ("black", "white")}
+_BONDS = {glyph: key for g in _GLYPHS.values() for key, glyph in g.items()
+          if isinstance(key, tuple)}
 
 
 def _use_unicode(unicode: bool | None) -> bool:
@@ -211,12 +215,9 @@ def render_ascii(diagram: SatakeDiagram, unicode: bool | None = None) -> str:
             if idx + 1 < len(chain):
                 nxt = chain[idx + 1]
                 mult = cartan[node][nxt] * cartan[nxt][node]
-                if mult == 1:
-                    line += g[1]
-                else:
-                    # C[a][b] == -mult means a is the short root
-                    side = "left" if cartan[node][nxt] == -mult else "right"
-                    line += g[(mult, side)]
+                # C[a][b] == -mult means a is the short root
+                side = "" if mult == 1 else "left" if cartan[node][nxt] == -mult else "right"
+                line += g[(mult, side)]
         if layout.hanging is None:
             blocks.append(line)
         else:
@@ -232,19 +233,6 @@ def render_ascii(diagram: SatakeDiagram, unicode: bool | None = None) -> str:
 
 def _tokenize_chain(line: str) -> tuple[list[bool], list[tuple[int, str]], list[int]]:
     """Colors (True = black), bonds (mult, direction), and node columns."""
-    symbols = {"●": True, "*": True, "○": False, "o": False}
-    bonds = {
-        "—": (1, ""),
-        "--": (1, ""),
-        "⇒": (2, "right"),
-        "=>": (2, "right"),
-        "⇐": (2, "left"),
-        "<=": (2, "left"),
-        "⇛": (3, "right"),
-        "3>": (3, "right"),
-        "⇚": (3, "left"),
-        "<3": (3, "left"),
-    }
     colors: list[bool] = []
     edges: list[tuple[int, str]] = []
     cols: list[int] = []
@@ -253,15 +241,15 @@ def _tokenize_chain(line: str) -> tuple[list[bool], list[tuple[int, str]], list[
     while i < len(line):
         ch = line[i]
         if expect_node:
-            if ch not in symbols:
+            if ch not in _VERTICES:
                 raise DatumError(f"expected a vertex symbol at column {i}: {line!r}")
-            colors.append(symbols[ch])
+            colors.append(_VERTICES[ch])
             cols.append(i)
             i += 1
             expect_node = False
         else:
             matched = None
-            for tok, info in bonds.items():
+            for tok, info in _BONDS.items():
                 if line.startswith(tok, i):
                     matched = (tok, info)
                     break
@@ -289,7 +277,7 @@ def _read_block(block: str) -> tuple[ComponentLayout, IntMatrix, list[bool]]:
             raise DatumError(f"malformed branch block: {block!r}")
         bar_col = lines[1].index("|")
         sym = lines[2].strip()
-        if sym not in ("●", "○", "*", "o"):
+        if sym not in _VERTICES:
             raise DatumError(f"bad hanging vertex {sym!r}")
         if lines[2].index(sym) != bar_col or bar_col not in cols:
             raise DatumError(f"branch not aligned under a chain vertex: {block!r}")
@@ -297,7 +285,7 @@ def _read_block(block: str) -> tuple[ComponentLayout, IntMatrix, list[bool]]:
         if attach in (0, len(cols) - 1):
             raise DatumError(f"branch at a chain end: {block!r}")
         bonds.append((attach, len(colors), 1, ""))
-        colors.append(sym in ("●", "*"))
+        colors.append(_VERTICES[sym])
 
     k = len(colors)
     cartan = [[2 if i == j else 0 for j in range(k)] for i in range(k)]

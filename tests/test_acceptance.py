@@ -31,7 +31,6 @@ from innerforms.grothendieck import (
     zero,
 )
 from innerforms.kottwitz import kottwitz_group
-from innerforms.levi import LeviDescriptor, analyze_levi
 from innerforms.rootdata import (
     adjoint_datum,
     build_catalog_group,

@@ -9,6 +9,7 @@ from innerforms.errors import GroupSpecError, TransferError
 from innerforms.globalize import (
     MAX_PLACES,
     MAX_PRIME,
+    MAX_TOWER_PRIMES,
     HasseVector,
     PlaceLabel,
     build_cocycle,
@@ -153,6 +154,22 @@ def test_prime_cap_refuses_before_any_division(monkeypatch):
         plan_globalization(10000000000000061, 4096, 2)
     with pytest.raises(GroupSpecError, match=f"^finite place 'w': prime {10**20 + 39} is above"):
         PlaceLabel(id="w", kind="finite", prime=10**20 + 39)
+
+
+def test_split_prime_count_cap_refuses_before_any_search(monkeypatch):
+    assert MAX_TOWER_PRIMES == 12  # 2^12 = MAX_PLACES places
+    admitted = split_primes(999983, MAX_TOWER_PRIMES)
+    assert len(admitted) == MAX_TOWER_PRIMES
+    assert len(plan_places(999983, MAX_PLACES).tower_primes) == MAX_TOWER_PRIMES
+
+    def no_division(n):
+        raise AssertionError(f"is_prime({n}) ran")
+
+    monkeypatch.setattr(globalize, "is_prime", no_division)
+    with pytest.raises(GroupSpecError, match="^13 split primes requested, above the limit of 12$"):
+        split_primes(999983, MAX_TOWER_PRIMES + 1)
+    with pytest.raises(GroupSpecError, match="^4096 split primes requested"):
+        split_primes(5, 4096)
 
 
 def test_largest_prime_under_the_cap_is_admitted():

@@ -62,9 +62,8 @@ FIELDS = {
     CatalogVariant: ("mprime_paper", "label", "condition", "degrees", "expected_factors",
                      "sample", "flags", "paper_claim_md", "alternatives"),
     AppendixEntry: ("key", "family", "group_paper", "theta_paper", "theta_bourbaki", "m_paper",
-                    "variants", "m_der_paper", "mtilde_paper", "m_computed", "figure",
-                    "exact_expected", "notes", "sample_group", "sample_removed",
-                    "expected_components"),
+                    "variants", "sample", "m_der_paper", "mtilde_paper", "m_computed", "figure",
+                    "exact_expected", "notes", "expected_components"),
 }
 
 GROUPS = [("GL", [3]), ("SL", [4]), ("PGL", [3]), ("Sp", [6]), ("GSpin", [7]), ("SO", [8]),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from innerforms import appendix
 from innerforms.appendix import (
     appendix_catalog,
     catalog_json,
@@ -325,6 +326,11 @@ def report_for(tag, params, removed):
     return analyze_levi(LeviDescriptor(datum, remove_indices(datum, removed)))
 
 
+def sample_report(sample):
+    (tag, params), removed = sample
+    return report_for(tag, list(params), list(removed))
+
+
 def test_transfer_sp_siegel():
     shape = transfer_levi(report_for("Sp", [8], [3]), [2])
     assert [(f.m, f.d, f.kind) for f in shape.factors] == [(2, 2, "GL")]
@@ -375,18 +381,17 @@ def test_levi_satake_diagram_periods():
 
 
 def test_factor_sizes_recover_envelope_for_all_catalog_entries():
-    by_key = {entry.key: entry for entry in appendix_catalog()}
+    checked = 0
     for entry in appendix_catalog():
-        if entry.sample_group is None or entry.sample_removed is None:
-            continue
-        report = report_for(entry.sample_group[0], list(entry.sample_group[1]),
-                            list(entry.sample_removed))
         for variant in entry.variants:
-            if variant.degrees is None or variant.sample is not None:
+            if variant.degrees is None:
                 continue
+            report = sample_report(variant.sample or entry.sample)
             shape = transfer_levi(report, variant.degrees)
             # m_i * d_i recovers the split envelope factor by factor
             assert tuple(f.m * f.d for f in shape.factors) == report.gl_envelope
+            checked += 1
+    assert checked == 23  # every variant but the flagged (5)(b), lower (4)(f)/(4)(g) included
 
 
 def black_runs(diagram):
@@ -457,17 +462,31 @@ def test_catalog_outputs_deterministic():
 def test_levi_shares_derived_type_with_envelope():
     # a sandwich Levi and its GL-envelope have the same derived root system,
     # a product of type-A systems of ranks n_i - 1
-    for entry in appendix_catalog():
-        if entry.sample_group is None or entry.sample_removed is None:
-            continue
-        if not entry.variants:
-            continue
-        report = report_for(entry.sample_group[0], list(entry.sample_group[1]),
-                            list(entry.sample_removed))
+    samples = [sample for entry in appendix_catalog() if entry.variants
+               for sample in (entry.sample, *(v.sample for v in entry.variants if v.sample))]
+    assert len(samples) == 22  # 20 entries with variants, and the lower (4)(f)/(4)(g)
+    for sample in samples:
+        report = sample_report(sample)
         assert report.condition_one
         envelope_derived = tuple(sorted(("A", n - 1) for n in report.gl_envelope if n > 1))
         assert envelope_derived == report.derived_type.components
     assert not report_for("F4", [], [0]).condition_one
+
+
+def test_verify_catalog_checks_a_variant_on_its_own_sample(monkeypatch):
+    def replaced(record, **changes):
+        return type(record)(**{f: getattr(record, f) for f in record._fields} | changes)
+
+    entries = list(appendix_catalog())
+    i = next(i for i, entry in enumerate(entries) if entry.key == "4f")
+    upper, lower = entries[i].variants
+    assert lower.sample == (("Spin", (14,)), (3,))
+    wrong = replaced(lower, expected_factors=((1, 2), (1, 4)))
+    entries[i] = replaced(entries[i], variants=(upper, wrong))
+    monkeypatch.setattr(appendix, "APPENDIX", tuple(entries))
+    violations, flags = verify_catalog()
+    assert violations == ["4f/lower: factors ((1, 4), (2, 2)) != expected ((1, 2), (1, 4))"]
+    assert flags == ["5b:inconsistent-m-times-d"]
 
 
 def test_5b_note_period_three_diagram_claim():

@@ -1,4 +1,5 @@
-"""What ``src/innerforms`` defines is used by the library, its exports or the benchmark.
+"""What ``src/innerforms`` defines is used by the library, its exports or the benchmark,
+and every module of the library, the tests and the benchmark reads what it imports.
 
 A module-level function or class passes when another part of ``src/``
 references it as a name or attribute (its own body and all docstrings do not
@@ -62,6 +63,32 @@ def unused_definitions() -> list[str]:
 
 def test_every_src_definition_is_used_by_the_library_its_exports_or_the_benchmark():
     assert unused_definitions() == []
+
+
+def unread_imports() -> list[str]:
+    """``path: name`` for each name an import binds that its file never reads."""
+    paths = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "tests").glob("*.py")),
+             *sorted(PERFBENCH.glob("*.py"))]
+    unread = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(alias.asname or alias.name for alias in node.names)
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread.extend(f"{path.relative_to(ROOT)}: {name}" for name in sorted(bound - read))
+    return unread
+
+
+def test_every_imported_name_is_read():
+    assert unread_imports() == []
 
 
 def load_by_path(path: Path):
