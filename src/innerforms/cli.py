@@ -22,7 +22,6 @@ if TYPE_CHECKING:  # annotations only: each command imports the layers it runs
 
 # no catalog tag contains an x, so a tag stops before the x of a product
 _GROUP_TOKEN = re.compile(r"(?P<tag>[A-Za-wyz][A-Za-wyz0-9]*)(?:\((?P<args>[^)]*)\))?")
-_PARAMETRIC_TAGS = {"GL", "SL", "PGL", "Sp", "GSp", "Spin", "GSpin", "SO"}
 
 
 def parse_group_expr(text: str) -> BasedRootDatum:
@@ -30,7 +29,7 @@ def parse_group_expr(text: str) -> BasedRootDatum:
 
     Products use ``x`` between factors.  Parse errors report the byte offset.
     """
-    from .rootdata import build_catalog_group, check_lattice_rank, datum_product
+    from .rootdata import LATTICE_RANK, build_catalog_group, check_lattice_rank, datum_product
     text = text.strip()
     if not text:
         raise GroupParseError("empty group expression", 0)
@@ -44,7 +43,7 @@ def parse_group_expr(text: str) -> BasedRootDatum:
         tag = match.group("tag")
         args_text = match.group("args")
         if args_text is None:
-            if tag in _PARAMETRIC_TAGS:
+            if tag in LATTICE_RANK:
                 raise GroupParseError(f"tag {tag} needs a parameter list", pos)
             params: list[int] = []
         else:
@@ -167,18 +166,22 @@ def _cmd_satake(args) -> int:
     from .satake import levi_satake_diagram, render_ascii, transfer_levi, type_a_satake
     datum = parse_group_expr(args.group)
     if args.pattern is not None:
+        for flag in ("remove", "theta", "degrees"):
+            if getattr(args, flag) is not None:
+                raise GroupSpecError(f"argument --pattern: not allowed with argument --{flag}")
         pattern = _int_list(args.pattern, "pattern")
         if len(pattern) != 2:
             raise GroupSpecError(f"bad pattern {args.pattern!r}; expected n,d (e.g. 6,3)")
         n, d = pattern
         diagram = type_a_satake(n, d)
+        rendered = render_ascii(diagram)
         payload = {
             "command": "satake",
             "pattern": [n, d],
             "black": sorted(diagram.black),
-            "diagram": render_ascii(diagram),
+            "diagram": rendered,
         }
-        _emit(args, payload, render_ascii(diagram))
+        _emit(args, payload, rendered)
         return 0
     theta = _theta_from_args(datum, args)
     desc = LeviDescriptor(datum, theta)
@@ -187,7 +190,7 @@ def _cmd_satake(args) -> int:
         report.gl_envelope or ()
     )
     shape = transfer_levi(report, degrees)
-    diagram = levi_satake_diagram(desc, degrees)
+    rendered = render_ascii(levi_satake_diagram(desc, degrees))
     payload = {
         "command": "satake",
         "group": datum.name,
@@ -196,14 +199,14 @@ def _cmd_satake(args) -> int:
         "degrees": degrees,
         "factors": [{"m": f.m, "d": f.d, "kind": f.kind} for f in shape.factors],
         "field_note": shape.field_note,
-        "diagram": render_ascii(diagram),
+        "diagram": rendered,
     }
     text = "\n".join(
         [
             f"envelope  {list(report.gl_envelope or ())}  (degrees align with this order)",
             f"M' shape  {shape}",
             "diagram:",
-            render_ascii(diagram),
+            rendered,
         ]
     )
     _emit(args, payload, text)
@@ -315,9 +318,7 @@ def _cmd_globalize(args) -> int:
         "places": [p.id for p in plan.places],
         "s_places": [p.id for p in plan.s_places],
         "s_multiple_of": plan.s_multiple_of,
-        "cocycle": {
-            p.id: str(v) for p, v in (plan.cocycle.entries if plan.cocycle else ())
-        },
+        "cocycle": {p.id: str(v) for p, v in plan.cocycle.entries},
         "assertion": "F_v = F for all planned places, by the split-prime tower",
     }
     lines = [

@@ -22,7 +22,7 @@ class DatumError(InnerFormsError):
 
 
 class EnumerationLimitError(InnerFormsError):
-    """A deliberate enumeration bound was exceeded (e.g. Weyl closure rank)."""
+    """A deliberate enumeration bound was exceeded: weyl_group_order above semisimple rank 6."""
 
 
 class TransferError(InnerFormsError):

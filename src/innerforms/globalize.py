@@ -265,9 +265,8 @@ def plan_globalization(
     if class_order == 1:
         cocycle = HasseVector(entries=())
     else:
+        # |S| = class_order, so the local classes always sum to zero
         check = build_cocycle(base.places, s_places, class_order, class_residue)
-        if not check.valid:
-            raise TransferError(check.message)
         cocycle = HasseVector(entries=check.assignment)
     return GlobalizationPlan(
         base_prime=base.base_prime,
@@ -318,19 +317,14 @@ def global_division_algebra(n: int, invariants: HasseVector) -> DivisionAlgebraR
         (place, n // value.denominator, value.denominator)
         for place, value in invariants.entries
     )
-    support = invariants.support()
     if total == 0:
-        return DivisionAlgebraReport(
-            n=n,
-            valid=True,
-            message="invariants sum to zero; a global algebra with this local data exists",
-            local_data=local,
-            non_split_places=support,
-        )
+        message = "invariants sum to zero; a global algebra with this local data exists"
+    else:
+        message = f"invariants sum to {total} != 0 in Q/Z; no global algebra exists"
     return DivisionAlgebraReport(
         n=n,
-        valid=False,
-        message=f"invariants sum to {total} != 0 in Q/Z; no global algebra exists",
+        valid=total == 0,
+        message=message,
         local_data=local,
-        non_split_places=support,
+        non_split_places=invariants.support(),
     )

@@ -46,15 +46,8 @@ class GroupSide:
     __setattr__, __delattr__, __repr__ = Record.__setattr__, Record.__delattr__, Record.__repr__
 
     @property
-    def n(self) -> int:
-        return self.m * self.d
-
-    @property
     def split(self) -> bool:
         return self.d == 1
-
-    def __str__(self) -> str:
-        return f"GL_{self.m}" if self.split else f"GL_{self.m}(D_{self.d})"
 
 
 def split_side(n: int) -> GroupSide:
@@ -97,8 +90,6 @@ class BasisElement:
         return BasisElement, (self.side, self.composition, self.labels)
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (
@@ -210,9 +201,6 @@ class VirtualElement:
         if not c:
             return zero()
         return VirtualElement._adopt({e: c * v for e, v in self._terms.items()})
-
-    def __rmul__(self, c: int) -> "VirtualElement":
-        return self.scale(c)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, VirtualElement) and self._terms == other._terms

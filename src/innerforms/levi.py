@@ -15,6 +15,7 @@ from .rootdata import (
     BasedRootDatum,
     DynkinType,
     FiniteAbelianGroup,
+    check_theta,
     cokernel_invariants,
     component_layout,
     dynkin_components,
@@ -28,11 +29,7 @@ class LeviDescriptor(Record):
     theta: tuple[int, ...]
 
     def __post_init__(self):
-        theta = tuple(sorted(set(self.theta)))
-        object.__setattr__(self, "theta", theta)
-        k = self.ambient.semisimple_rank
-        if any(t < 0 or t >= k for t in theta):
-            raise DatumError(f"theta {theta} out of range for {k} simple roots")
+        object.__setattr__(self, "theta", check_theta(self.ambient, self.theta))
 
 
 class LeviReport(Record):

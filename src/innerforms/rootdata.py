@@ -34,6 +34,15 @@ def check_lattice_rank(rank: int, what: str) -> None:
         )
 
 
+def check_theta(datum: BasedRootDatum, theta) -> tuple[int, ...]:
+    """theta as sorted distinct indices; DatumError unless every index lies in Delta."""
+    theta = tuple(sorted(set(theta)))
+    k = datum.semisimple_rank
+    if theta and (theta[0] < 0 or theta[-1] >= k):
+        raise DatumError(f"theta {list(theta)} out of range for {k} simple roots")
+    return theta
+
+
 # ---------------------------------------------------------------------------
 # integer matrix helpers
 
@@ -43,8 +52,6 @@ def identity_matrix(n: int) -> IntMatrix:
 
 
 def transpose(a: IntMatrix) -> IntMatrix:
-    if not a:
-        return []
     return [list(col) for col in zip(*a)]
 
 
@@ -819,7 +826,7 @@ def _type_a_chain(n: int, length: int) -> list[Vector]:
 
 
 # lattice rank of each parametric catalog tag as a function of its parameter
-_LATTICE_RANK = {
+LATTICE_RANK = {
     "GL": lambda n: n,
     "SL": lambda n: n - 1,
     "PGL": lambda n: n - 1,
@@ -828,6 +835,15 @@ _LATTICE_RANK = {
     "Spin": lambda n: n // 2,
     "GSpin": lambda n: n // 2 + 1,
     "SO": lambda n: n // 2,
+}
+
+# (series, rank) of each exceptional catalog tag, all built simply connected
+_EXCEPTIONAL = {
+    "E6sc": ("E", 6),
+    "E7sc": ("E", 7),
+    "E8": ("E", 8),
+    "F4": ("F", 4),
+    "G2": ("G", 2),
 }
 
 
@@ -839,24 +855,16 @@ def build_catalog_group(name: str, parameters: list[int]) -> BasedRootDatum:
     parameters outside the tag's domain, or above :data:`MAX_LATTICE_RANK`.
     """
     tag = name.strip()
-    exceptional = {
-        "E6sc": ("E", 6, simply_connected_datum),
-        "E7sc": ("E", 7, simply_connected_datum),
-        "E8": ("E", 8, simply_connected_datum),
-        "F4": ("F", 4, simply_connected_datum),
-        "G2": ("G", 2, simply_connected_datum),
-    }
-    if tag in exceptional:
+    if tag in _EXCEPTIONAL:
         if parameters:
             raise GroupSpecError(f"{tag} takes no parameters")
-        series, rank, builder = exceptional[tag]
-        return builder(series, rank, tag)
+        return simply_connected_datum(*_EXCEPTIONAL[tag], tag)
 
     if len(parameters) != 1:
         raise GroupSpecError(f"{tag} takes exactly one integer parameter")
     n = parameters[0]
-    if tag in _LATTICE_RANK:
-        check_lattice_rank(_LATTICE_RANK[tag](n), f"{tag}({n})")
+    if tag in LATTICE_RANK:
+        check_lattice_rank(LATTICE_RANK[tag](n), f"{tag}({n})")
 
     if tag == "GL":
         if n < 1:
@@ -895,11 +903,6 @@ def build_catalog_group(name: str, parameters: list[int]) -> BasedRootDatum:
         if n % 2:
             return simply_connected_datum("B", (n - 1) // 2, f"Spin({n})") if n > 3 else simply_connected_datum("A", 1, "Spin(3)")
         half = n // 2
-        if half == 2:
-            return datum_product(
-                [simply_connected_datum("A", 1), simply_connected_datum("A", 1)],
-                name="Spin(4)",
-            )
         if half == 3:
             return simply_connected_datum("A", 3, "Spin(6)")
         return simply_connected_datum("D", half, f"Spin({n})")
@@ -928,6 +931,5 @@ def build_catalog_group(name: str, parameters: list[int]) -> BasedRootDatum:
         return BasedRootDatum(rank, roots, roots, f"SO({n})")
 
     raise GroupSpecError(
-        f"unknown catalog tag {tag!r}; known tags: GL, SL, PGL, Sp, GSp, Spin, "
-        f"GSpin, SO, E6sc, E7sc, E8, F4, G2"
+        f"unknown catalog tag {tag!r}; known tags: {', '.join([*LATTICE_RANK, *_EXCEPTIONAL])}"
     )

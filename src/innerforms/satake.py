@@ -47,12 +47,12 @@ class InnerFactor(Record):
 
     m: int
     d: int
-    kind: str  # "GL" | "SL" | "sandwich"
+    kind: str  # "GL" | "sandwich"
 
     def __post_init__(self):
         if self.m < 1 or self.d < 1:
             raise DatumError("factor sizes must be positive")
-        if self.kind not in ("GL", "SL", "sandwich"):
+        if self.kind not in ("GL", "sandwich"):
             raise DatumError(f"unknown factor kind {self.kind!r}")
 
     @property
@@ -60,10 +60,7 @@ class InnerFactor(Record):
         return self.m * self.d
 
     def __str__(self) -> str:
-        body = f"GL_{self.m}(D_{self.d})" if self.d > 1 else f"GL_{self.m}(F)"
-        if self.kind == "SL":
-            body = body.replace("GL", "SL", 1)
-        return body
+        return f"GL_{self.m}(D_{self.d})" if self.d > 1 else f"GL_{self.m}(F)"
 
 
 class InnerFormShape(Record):

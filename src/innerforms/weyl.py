@@ -26,6 +26,7 @@ from .rootdata import (
     DynkinType,
     Vector,
     cartan_neighbours,
+    check_theta,
     component_layout,
     dynkin_components,
     integer_kernel_basis,
@@ -46,15 +47,6 @@ def _check_weyl_rank(datum: BasedRootDatum) -> None:
             f"{datum.name or 'datum'} has lattice rank {datum.rank}, above the Weyl-layer"
             f" limit of {MAX_WEYL_RANK}"
         )
-
-
-def _check_theta(datum: BasedRootDatum, theta) -> list[int]:
-    """theta as a sorted list of distinct indices; DatumError unless all lie in Delta."""
-    theta = sorted(set(theta))
-    k = datum.semisimple_rank
-    if theta and (theta[0] < 0 or theta[-1] >= k):
-        raise DatumError(f"theta {theta} out of range for {k} simple roots")
-    return theta
 
 
 class WeylWord(Record):
@@ -199,7 +191,7 @@ def find_w_theta(datum: BasedRootDatum, theta) -> tuple[WeylWord, tuple[int, ...
     right-multiplied by the letters of w_{l,theta}.
     """
     _check_weyl_rank(datum)
-    theta = _check_theta(datum, theta)
+    theta = check_theta(datum, theta)
     cols, letters = datum.longest_element
     cols = list(cols)
     _, theta_letters = _greedy_longest(datum, theta)
@@ -221,8 +213,11 @@ def find_w_theta(datum: BasedRootDatum, theta) -> tuple[WeylWord, tuple[int, ...
 
 
 def split_component_basis(datum: BasedRootDatum, theta) -> list[Vector]:
-    """Basis of the cocharacter lattice of A_M (integer annihilator of theta's roots)."""
-    rows = [datum.simple_roots[t] for t in sorted(set(theta))]
+    """Basis of the cocharacter lattice of A_M (integer annihilator of theta's roots).
+
+    Raises DatumError on an index of theta outside Delta.
+    """
+    rows = [datum.simple_roots[t] for t in check_theta(datum, theta)]
     return integer_kernel_basis(rows, datum.rank)
 
 
@@ -231,7 +226,7 @@ def _primitive(v: Vector) -> Vector:
     return tuple(x // g for x in v) if g > 1 else v
 
 
-def _restricted_classes(datum: BasedRootDatum, theta: list[int]):
+def _restricted_classes(datum: BasedRootDatum, theta: tuple[int, ...]):
     """The positive roots off theta, grouped by their restriction to A_M.
 
     The restrictions of the alpha_i with i not in theta are linearly
@@ -297,7 +292,7 @@ def reduced_roots(datum: BasedRootDatum, theta) -> list[RestrictedRoot]:
     [((-1, 2), ((-1, 2),)), ((1, 1), ((1, 1),)), ((2, -1), ((2, -1),))]
     """
     _check_weyl_rank(datum)
-    theta = _check_theta(datum, theta)
+    theta = check_theta(datum, theta)
     return [rr for rr, _ in _restricted_classes(datum, theta)]
 
 
@@ -334,7 +329,7 @@ def rank_one_decomposition(
     'C3'
     """
     _check_weyl_rank(datum)
-    theta = _check_theta(datum, theta)
+    theta = check_theta(datum, theta)
     cartan, neighbours = datum.cartan, datum.neighbours
     block = [[cartan[s][t] for t in theta] for s in theta]
     local = {t: i for i, t in enumerate(theta)}
@@ -353,7 +348,7 @@ def rank_one_decomposition(
     return out
 
 
-def _new_column_and_row(datum: BasedRootDatum, theta: list[int], beta: Vector):
+def _new_column_and_row(datum: BasedRootDatum, theta: tuple[int, ...], beta: Vector):
     """The Cartan entries joining ``beta`` (simple-root coordinates) to theta.
 
     The column is <beta, alpha_t^vee> = sum_a beta_a C[t][a], the row

@@ -143,6 +143,35 @@ def test_malformed_options_are_usage_errors(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (("satake", "--group", "GL(4)", "--theta", "0", "--degrees", "0"), 1,
+         "division degree 0 must be >= 1"),
+        (("division-algebra", "--n", "2", "--inv", "cplx1=1/2"), 1,
+         "complex place cplx1 admits only invariant 0"),
+        (("levi", "GL(3)+GL(2)"), 2,
+         "expected 'x' or end of expression in 'GL(3)+GL(2)' (at offset 5)"),
+        (("levi", "Foo(3)"), 2,
+         "unknown catalog tag 'Foo'; known tags: GL, SL, PGL, Sp, GSp, Spin, GSpin, SO, "
+         "E6sc, E7sc, E8, F4, G2 (at offset 0)"),
+        (("levi", "Spin"), 2, "tag Spin needs a parameter list (at offset 0)"),
+    ],
+)
+def test_refusals_exit_with_their_exact_message(capsys, argv, code, message):
+    assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "flags", [("--remove", "a4"), ("--theta", "0,1"), ("--degrees", "1,2,2")]
+)
+def test_pattern_with_a_levi_flag_is_a_usage_error(capsys, flags):
+    # --pattern draws a GL picture and would ignore the Levi and its degrees
+    code, out, err = run(capsys, "satake", "--group", "E7sc", "--pattern", "6,3", *flags)
+    assert (code, out) == (2, "")
+    assert err == f"error: argument --pattern: not allowed with argument {flags[0]}\n"
+
+
 @pytest.mark.parametrize("group", ["GL(1000000000)", "Spin(2050)", "GL(600)xGL(500)"])
 def test_lattice_rank_cap_is_a_usage_error(capsys, group):
     code, out, err = run(capsys, "levi", group)

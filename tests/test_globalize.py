@@ -84,6 +84,8 @@ def test_split_primes_against_root_counting_oracle():
 def test_split_primes_validation():
     with pytest.raises(GroupSpecError):
         split_primes(4, 3)
+    with pytest.raises(GroupSpecError, match=r"^count must be nonnegative$"):
+        split_primes(5, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +229,8 @@ def test_build_cocycle_validation():
         build_cocycle(places, [], 2, 1)
     with pytest.raises(GroupSpecError):
         build_cocycle(places, places[:2], 2, 2)  # class is zero mod order
+    with pytest.raises(GroupSpecError, match=r"^phi_order must be positive$"):
+        build_cocycle(places, places[:1], 0, 1)
 
 
 def test_plan_globalization_assembles_cocycle():
@@ -242,6 +246,8 @@ def test_plan_globalization_assembles_cocycle():
 def test_plan_globalization_needs_enough_places():
     with pytest.raises(TransferError):
         plan_globalization(5, 2, 3)
+    with pytest.raises(GroupSpecError, match=r"^class order must be positive$"):
+        plan_globalization(5, 3, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,8 @@ def test_global_compatibility():
     assert global_d_compatibility({"v1": 1}, {})
     with pytest.raises(GroupSpecError):
         global_d_compatibility({"v1": 2}, {})
+    with pytest.raises(GroupSpecError, match=r"^bad degree 0 at place v$"):
+        global_d_compatibility({"v": 0}, {})
 
 
 # ---------------------------------------------------------------------------

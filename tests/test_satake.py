@@ -473,10 +473,11 @@ def test_levi_shares_derived_type_with_envelope():
     assert not report_for("F4", [], [0]).condition_one
 
 
-def test_verify_catalog_checks_a_variant_on_its_own_sample(monkeypatch):
-    def replaced(record, **changes):
-        return type(record)(**{f: getattr(record, f) for f in record._fields} | changes)
+def replaced(record, **changes):
+    return type(record)(**{f: getattr(record, f) for f in record._fields} | changes)
 
+
+def test_verify_catalog_checks_a_variant_on_its_own_sample(monkeypatch):
     entries = list(appendix_catalog())
     i = next(i for i, entry in enumerate(entries) if entry.key == "4f")
     upper, lower = entries[i].variants
@@ -487,6 +488,46 @@ def test_verify_catalog_checks_a_variant_on_its_own_sample(monkeypatch):
     violations, flags = verify_catalog()
     assert violations == ["4f/lower: factors ((1, 4), (2, 2)) != expected ((1, 2), (1, 4))"]
     assert flags == ["5b:inconsistent-m-times-d"]
+
+
+@pytest.mark.parametrize(
+    "key,entry_changes,variant_changes,violation",
+    [
+        ("1a", {"expected_components": (("A", 2),)}, {},
+         "1a: components (('A', 1), ('A', 3)) != expected (('A', 2),)"),
+        ("1a", {"exact_expected": False}, {}, "1a: envelope exactness True != expected False"),
+        ("3a", {"sample": (("F4", ()), (0,))}, {}, "3a: sandwich condition fails at sample"),
+        ("7-G2", {"sample": (("SL", (2,)), ())}, {}, "7-G2: expected |A(G^ad)| = 1"),
+        ("5b", {}, {"paper_claim_md": (2, 3)},
+         "5b: flag not earned (claim 2x3 vs envelope (6,))"),
+        ("5b", {}, {"alternatives": ("GL_3(D_2)",)},
+         "5b: candidate list ('GL_3(D_2)',) != ('GL_3(D_2)', 'GL_2(D_3)', 'GL_1(D_6)')"),
+    ],
+)
+def test_verify_catalog_reports_each_violation(
+    monkeypatch, key, entry_changes, variant_changes, violation
+):
+    entries = list(appendix_catalog())
+    i = next(i for i, entry in enumerate(entries) if entry.key == key)
+    if variant_changes:
+        (variant,) = entries[i].variants
+        entry_changes = {"variants": (replaced(variant, **variant_changes),)}
+    entries[i] = replaced(entries[i], **entry_changes)
+    monkeypatch.setattr(appendix, "APPENDIX", tuple(entries))
+    violations, flags = verify_catalog()
+    assert violations == [violation]
+    assert flags == ["5b:inconsistent-m-times-d"]
+
+
+def test_levi_satake_diagram_refuses_a_degree_list_it_cannot_paint():
+    datum = build_catalog_group("Sp", [6])
+    desc = LeviDescriptor(datum, (1, 2))  # one C2 component
+    with pytest.raises(TransferError) as info:
+        levi_satake_diagram(desc, [1, 1])
+    assert str(info.value) == "expected 1 degrees (one per component), got 2"
+    with pytest.raises(TransferError) as info:
+        levi_satake_diagram(desc, [1])
+    assert str(info.value) == "period patterns only exist on type-A components"
 
 
 def test_5b_note_period_three_diagram_claim():

@@ -21,6 +21,7 @@ from innerforms.weyl import (
     orbit_product_order,
     rank_one_decomposition,
     reduced_roots,
+    split_component_basis,
     weyl_group_order,
 )
 from oracles import (
@@ -569,7 +570,9 @@ def test_weyl_layer_refuses_above_rank_limit():
     assert len(datum.positive_roots) == 63 * 64 // 2
 
 
-@pytest.mark.parametrize("call", [find_w_theta, reduced_roots, rank_one_decomposition])
+@pytest.mark.parametrize(
+    "call", [find_w_theta, reduced_roots, rank_one_decomposition, split_component_basis]
+)
 @pytest.mark.parametrize("theta", [(5,), (-1,), (0, 3)])
 def test_weyl_layer_refuses_theta_out_of_range(call, theta):
     datum = build_catalog_group("SL", [4])
