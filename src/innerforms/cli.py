@@ -10,6 +10,7 @@ forces ASCII diagram rendering.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -95,10 +96,7 @@ def _theta_from_args(datum: BasedRootDatum, args) -> tuple[int, ...]:
     if args.theta is not None:
         if not args.theta.strip():
             return ()
-        try:
-            vals = [int(x) for x in args.theta.split(",")]
-        except ValueError:
-            raise GroupSpecError(f"bad theta list {args.theta!r}") from None
+        vals = _int_list(args.theta, "theta list")
         if any(v < 0 or v >= datum.semisimple_rank for v in vals):
             raise GroupSpecError(
                 f"theta {sorted(set(vals))} out of range 0..{datum.semisimple_rank - 1}"
@@ -115,12 +113,32 @@ def _int_list(text: str, what: str) -> list[int]:
         raise GroupSpecError(f"bad {what} {text!r}; expected comma-separated integers") from None
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
+def _emit(args, payload: dict, text: str | None = None) -> None:
+    """The one writer of stdout: ``payload`` as JSON under ``--json``, else ``text``
+    (by default the payload as ASCII-escaped JSON).
+
+    A closed pipe ends the process quietly with exit 1, as SIGPIPE would; any
+    other failure to write raises InnerFormsError (exit 1).
+    """
+    if args.json or text is None:
         import json
-        print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
-    else:
-        print(text)
+        text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=not args.json)
+    if sys.stdout is None:
+        raise InnerFormsError("cannot write to stdout: it is closed")
+    try:
+        print(text, flush=True)
+    except UnicodeEncodeError as exc:
+        raise InnerFormsError(
+            f"cannot write to stdout: its encoding {exc.encoding!r} cannot represent the output;"
+            " use UTF-8, e.g. PYTHONIOENCODING=utf-8"
+        ) from None
+    except OSError as exc:
+        # point stdout at devnull, so that the flush at shutdown cannot fail
+        # again (the idiom of CPython's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            sys.exit(1)
+        raise InnerFormsError(f"cannot write to stdout: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +151,7 @@ def _cmd_levi(args) -> int:
     theta = _theta_from_args(datum, args)
     desc = LeviDescriptor(datum, theta)
     report = analyze_levi(desc)
+    maximal = is_maximal(desc)
     payload = {
         "command": "levi",
         "group": datum.name,
@@ -144,7 +163,7 @@ def _cmd_levi(args) -> int:
         "gl_envelope": list(report.gl_envelope) if report.gl_envelope else None,
         "envelope_exact": report.envelope_exact,
         "central_gl1s": report.central_gl1s,
-        "maximal": is_maximal(desc),
+        "maximal": maximal,
     }
     lines = [
         f"group                 {datum.name}",
@@ -155,7 +174,7 @@ def _cmd_levi(args) -> int:
         f"sandwich condition    {'yes' if report.condition_one else 'no'}",
         f"GL envelope           {list(report.gl_envelope) if report.gl_envelope else '-'}",
         f"envelope exact        {'yes' if report.envelope_exact else 'no'}",
-        f"maximal Levi          {'yes' if is_maximal(desc) else 'no'}",
+        f"maximal Levi          {'yes' if maximal else 'no'}",
     ]
     _emit(args, payload, "\n".join(lines))
     return 0
@@ -215,17 +234,11 @@ def _cmd_satake(args) -> int:
 
 def _cmd_appendix(args) -> int:
     from .appendix import catalog_json, catalog_markdown
-    if args.json:
-        import json
-        print(json.dumps(catalog_json(), indent=2, sort_keys=True, ensure_ascii=False))
-    else:
-        print(catalog_markdown())
+    _emit(args, catalog_json(), catalog_markdown())
     return 0
 
 
 def _cmd_weyl(args) -> int:
-    import json
-
     from .weyl import ENUMERATION_RANK_BOUND, find_w_theta, reduced_roots, weyl_group_order
     datum = parse_group_expr(args.group)
     theta = _theta_from_args(datum, args)
@@ -250,8 +263,7 @@ def _cmd_weyl(args) -> int:
             for r in rr
         ],
     }
-    # the text form is the same JSON, ASCII-escaped: encode only what is printed
-    print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=not args.json))
+    _emit(args, payload)  # the text form is the same JSON, ASCII-escaped
     return 0
 
 
@@ -397,6 +409,8 @@ def _cmd_lj(args) -> int:
         raise GroupSpecError(f"lj needs --n and --d of at least 1, got {args.n} and {args.d}")
     text = args.element
     if text is None or text == "-":
+        if sys.stdin is None:
+            raise GroupSpecError("no --element given and stdin is closed")
         text = sys.stdin.read()
     element = parse_virtual(text, n=args.n)
     image = lj_map(element, args.d)

@@ -5,13 +5,15 @@ ordered compositions with opaque discrete-series tags.  The transfer map
 keeps a term when every block of its composition is divisible by d (the
 standard Levi then has a counterpart on the division-algebra side) and
 kills it otherwise; it is Z-linear and surjective onto the inner basis.
-Tag semantics never enter: any bijection of tags models the underlying
-discrete-series correspondence.
+Tags are carried through unchanged.  Tag semantics never enter, so renaming
+the tags by any bijection (a model of the underlying discrete-series
+correspondence) commutes with the map.
 """
 
 from __future__ import annotations
 
 import re
+from math import prod
 from operator import itemgetter
 from typing import Callable, Mapping
 
@@ -52,10 +54,6 @@ class GroupSide:
 
 def split_side(n: int) -> GroupSide:
     return GroupSide(n, 1)
-
-
-def inner_side(m: int, d: int) -> GroupSide:
-    return GroupSide(m, d)
 
 
 class BasisElement:
@@ -142,26 +140,44 @@ def _canonical_groups(terms: dict[BasisElement, int]):
         yield composition, sorted(groups[composition], key=_first)
 
 
-class VirtualElement:
-    """Z-linear combination of basis elements; zero coefficients are dropped.
+class _FormalSum:
+    """Z-linear combination of hashable terms; zero coefficients are dropped.
 
     Terms are kept in an unordered dict, so equality and hash do not depend
-    on the order in which terms were added.  The canonical order, by
-    (composition, labels), is applied where order can be seen: ``render``,
-    ``repr`` and the ``terms`` copy.
+    on the order in which terms were added.  Equal sums have the same class
+    and the same terms.  Each subclass gives its canonical order in ``terms``.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[BasisElement, int] | None = None):
-        self._terms = {e: c for e, c in terms.items() if c} if terms else {}
+    def __init__(self, terms: Mapping | None = None):
+        self._terms = {k: c for k, c in terms.items() if c} if terms else {}
 
     @classmethod
-    def _adopt(cls, terms: dict[BasisElement, int]) -> "VirtualElement":
+    def _adopt(cls, terms: dict):
         """Wrap a freshly built dict without zero coefficients; no copy."""
         out = cls.__new__(cls)
         out._terms = terms
         return out
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and self._terms == other._terms
+
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
+
+
+class VirtualElement(_FormalSum):
+    """Z-linear combination of basis elements.
+
+    The canonical order, by (composition, labels), is applied where order
+    can be seen: ``render``, ``repr`` and the ``terms`` copy.
+    """
+
+    __slots__ = ()
 
     @staticmethod
     def of(element: BasisElement, coefficient: int = 1) -> "VirtualElement":
@@ -174,9 +190,6 @@ class VirtualElement:
             for _, group in _canonical_groups(self._terms)
             for _, elt, coeff in group
         }
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def _combine(self, other: "VirtualElement", sign: int) -> "VirtualElement":
         out = dict(self._terms)
@@ -201,12 +214,6 @@ class VirtualElement:
         if not c:
             return zero()
         return VirtualElement._adopt({e: c * v for e, v in self._terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, VirtualElement) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
 
     def render(self) -> str:
         if not self._terms:
@@ -251,23 +258,13 @@ def levi_transfers(composition, d: int) -> tuple[int, ...] | None:
     return tuple(blocks)
 
 
-def _tag_mapper(label_transfer) -> Callable[[str], str] | None:
-    """None for the identity, so that tags can be carried over unchanged."""
-    if label_transfer is None:
-        return None
-    if isinstance(label_transfer, Mapping):
-        return label_transfer.__getitem__
-    return label_transfer
-
-
-def _term_transfer(d: int, label_transfer=None) -> Callable[[BasisElement], BasisElement | None]:
+def _term_transfer(d: int) -> Callable[[BasisElement], BasisElement | None]:
     """The transfer of single basis elements, for the span of one call.
 
     Split-ness and d | n are checked once per distinct source side, and
     ``levi_transfers`` runs once per distinct composition; the returned
     function gives the image of a basis element, or None if it dies.
     """
-    mapper = _tag_mapper(label_transfer)
     inner_sides: dict[GroupSide, GroupSide] = {}
     targets: dict[tuple[int, ...], tuple[int, ...] | None] = {}
 
@@ -278,7 +275,7 @@ def _term_transfer(d: int, label_transfer=None) -> Callable[[BasisElement], Basi
             if not side.split:
                 raise TransferError("lj_map applies to split-side elements")
             (m,) = levi_transfers((side.m,), d)
-            inner = inner_sides[side] = inner_side(m, d)
+            inner = inner_sides[side] = GroupSide(m, d)
         comp = elt.composition
         if comp in targets:
             target = targets[comp]
@@ -286,29 +283,23 @@ def _term_transfer(d: int, label_transfer=None) -> Callable[[BasisElement], Basi
             target = targets[comp] = levi_transfers(comp, d)
         if target is None:
             return None
-        labels = elt.labels if mapper is None else tuple(mapper(t) for t in elt.labels)
-        return BasisElement._checked(inner, target, labels)
+        return BasisElement._checked(inner, target, elt.labels)
 
     return transfer
 
 
-def lj_map(element: VirtualElement, d: int, label_transfer=None) -> VirtualElement:
+def lj_map(element: VirtualElement, d: int) -> VirtualElement:
     """Z-linear transfer to the d-th inner side.
 
     Terms whose composition has a block not divisible by d are sent to zero;
-    the rest keep their coefficients, with block sizes divided by d and tags
-    carried through ``label_transfer`` (a bijection; identity by default).
+    the rest keep their coefficients and tags, with block sizes divided by d.
+    Tags are carried unchanged, so renaming them by a bijection before the
+    map gives the same element as renaming them after it.
     """
-    transfer = _term_transfer(d, label_transfer)
+    transfer = _term_transfer(d)
     images = [(transfer(elt), coeff) for elt, coeff in element._terms.items()]
-    kept = [(image, coeff) for image, coeff in images if image is not None]
-    if label_transfer is None:
-        # distinct split terms have distinct images: nothing merges
-        return VirtualElement._adopt(dict(kept))
-    merged: dict[BasisElement, int] = {}
-    for image, coeff in kept:  # a tag map that is not injective merges terms
-        merged[image] = merged.get(image, 0) + coeff
-    return VirtualElement(merged)
+    # distinct split terms have distinct images: nothing merges
+    return VirtualElement._adopt({image: coeff for image, coeff in images if image is not None})
 
 
 def character_sign(n: int, m: int) -> int:
@@ -342,45 +333,34 @@ def global_d_compatibility(
 # ---------------------------------------------------------------------------
 # product bookkeeping
 
+#: The most terms ``tensor`` builds: the product of its factors' term counts.
+#: On a 2-vCPU host, two 512-term factors (at the limit) take 0.2 s and their
+#: ``tensor_lj`` 0.4 s, in 60 MB; 2.56 million terms took 3 s and 600 MB.
+MAX_TENSOR_TERMS = 2**18
+
 
 def _tensor_key(item: tuple[tuple[BasisElement, ...], int]):
     return tuple((e.composition, e.labels) for e in item[0])
 
 
-class TensorElement:
-    """Formal sum of tuples of basis elements (one per GL factor of a product).
+class TensorElement(_FormalSum):
+    """Formal sum of tuples of basis elements (one per GL factor of a product)."""
 
-    Like ``VirtualElement``: unordered terms, canonical order in ``terms``.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[tuple[BasisElement, ...], int] | None = None):
-        self._terms = {k: v for k, v in terms.items() if v} if terms else {}
-
-    @classmethod
-    def _adopt(cls, terms: dict[tuple[BasisElement, ...], int]) -> "TensorElement":
-        """Wrap a freshly built dict without zero coefficients; no copy."""
-        out = cls.__new__(cls)
-        out._terms = terms
-        return out
+    __slots__ = ()
 
     @property
     def terms(self) -> dict[tuple[BasisElement, ...], int]:
         return dict(sorted(self._terms.items(), key=_tensor_key))
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other):
-        return isinstance(other, TensorElement) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
 
 def tensor(*factors: VirtualElement) -> TensorElement:
-    """Tensor product of per-factor virtual elements."""
+    """Tensor product of per-factor virtual elements.
+
+    Raises GroupSpecError above :data:`MAX_TENSOR_TERMS` terms, before building any.
+    """
+    size = prod(len(factor._terms) for factor in factors)
+    if size > MAX_TENSOR_TERMS:
+        raise GroupSpecError(f"{size} tensor terms, above the limit of {MAX_TENSOR_TERMS}")
     # distinct prefixes extended by distinct elements stay distinct, and
     # products of nonzero coefficients are nonzero: nothing to accumulate
     terms: dict[tuple[BasisElement, ...], int] = {(): 1}

@@ -13,7 +13,7 @@ from math import gcd
 
 from ._record import Record
 from .errors import GroupSpecError
-from .rootdata import BasedRootDatum, FiniteAbelianGroup, adjoint_datum, classify
+from .rootdata import BasedRootDatum, FiniteAbelianGroup, adjoint_datum, check_lattice_rank, classify
 
 
 class InnerFormClass(Record):
@@ -59,10 +59,12 @@ def inner_form_classes_gl(n: int) -> list[InnerFormClass]:
 
     Class j corresponds to the invariant j/n: the division degree is
     d = n/gcd(j, n) and the form is GL_{n/d}(D_d).  The number of classes
-    with a given d equals Euler's phi(d).
+    with a given d equals Euler's phi(d).  Raises GroupSpecError for n above
+    the largest GL(n) the catalog builds, before building any class.
     """
     if n < 1:
         raise GroupSpecError("inner_form_classes_gl requires n >= 1")
+    check_lattice_rank(n, f"GL({n})")
     out = []
     for j in range(n):
         g = gcd(j, n)

@@ -25,8 +25,8 @@ from innerforms.globalize import (
 )
 from innerforms.grothendieck import (
     BasisElement,
+    GroupSide,
     VirtualElement,
-    inner_side,
     lj_map,
     zero,
 )
@@ -214,7 +214,7 @@ def test_criterion_globalization_arithmetic(capsys):
 
 def test_criterion_lj_suite(capsys):
     started = time.perf_counter()
-    st_inner = BasisElement(inner_side(1, 2), (1,), ("St",))
+    st_inner = BasisElement(GroupSide(1, 2), (1,), ("St",))
     assert lj_map(steinberg(2, "St"), 2) == VirtualElement.of(st_inner)
     assert lj_map(gl2_trivial("x", "y", "St"), 2) == VirtualElement.of(st_inner, -1)
     assert lj_map(gl2_principal_series(), 2).is_zero()
@@ -233,9 +233,9 @@ def test_criterion_lj_suite(capsys):
                 continue
             for comp in compositions(n // d):
                 labels = tuple(f"t{i}" for i in range(len(comp)))
-                target = BasisElement(inner_side(n // d, d), comp, labels)
+                target = BasisElement(GroupSide(n // d, d), comp, labels)
                 source = BasisElement(
-                    inner_side(n, 1), tuple(d * c for c in comp), labels
+                    GroupSide(n, 1), tuple(d * c for c in comp), labels
                 )
                 assert lj_map(VirtualElement.of(source), d) == VirtualElement.of(target)
 
@@ -252,7 +252,7 @@ def test_criterion_lj_suite(capsys):
                 remaining -= c
             labels = tuple(rng.choice("abcd") for _ in comp)
             total = total + VirtualElement.of(
-                BasisElement(inner_side(n, 1), tuple(comp), labels), rng.randint(-4, 4)
+                BasisElement(GroupSide(n, 1), tuple(comp), labels), rng.randint(-4, 4)
             )
         return total
 

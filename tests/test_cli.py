@@ -156,6 +156,8 @@ def test_malformed_options_are_usage_errors(capsys, argv):
          "unknown catalog tag 'Foo'; known tags: GL, SL, PGL, Sp, GSp, Spin, GSpin, SO, "
          "E6sc, E7sc, E8, F4, G2 (at offset 0)"),
         (("levi", "Spin"), 2, "tag Spin needs a parameter list (at offset 0)"),
+        (("weyl", "SL(3)", "--theta", "0,x"), 2,
+         "bad theta list '0,x'; expected comma-separated integers"),
     ],
 )
 def test_refusals_exit_with_their_exact_message(capsys, argv, code, message):

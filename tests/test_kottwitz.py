@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from innerforms.errors import GroupSpecError
@@ -8,6 +10,7 @@ from innerforms.kottwitz import (
     kottwitz_group,
 )
 from innerforms.rootdata import (
+    MAX_LATTICE_RANK,
     adjoint_datum,
     build_catalog_group,
     datum_product,
@@ -156,6 +159,19 @@ def test_class_counts_follow_totient():
 def test_inner_form_classes_validation():
     with pytest.raises(GroupSpecError):
         inner_form_classes_gl(0)
+
+
+def test_inner_form_classes_gl_is_capped_at_the_lattice_rank_limit():
+    started = time.perf_counter()
+    assert len(inner_form_classes_gl(MAX_LATTICE_RANK)) == MAX_LATTICE_RANK
+    assert time.perf_counter() - started < 1.0
+    above = r"^GL\(1025\) has lattice rank 1025, above the limit of 1024$"
+    with pytest.raises(GroupSpecError, match=above):
+        inner_form_classes_gl(MAX_LATTICE_RANK + 1)
+    started = time.perf_counter()
+    with pytest.raises(GroupSpecError, match=r"^GL\(1000000000\) has lattice rank"):
+        inner_form_classes_gl(10**9)
+    assert time.perf_counter() - started < 0.05
 
 
 def test_ad_quotient_order_products_and_tori():
